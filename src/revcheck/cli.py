@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import secrets
 import sys
@@ -103,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="defaults: naive-correlation for trending, coefficient for niid",
     )
     sim_mc.add_argument("--reps", type=int, default=10000)
-    sim_mc.add_argument("--threads", type=int, default=1)
+    sim_mc.add_argument(
+        "--threads", type=int, default=1, help="must be >= 1; the study runs on one thread whatever the value"
+    )
     sim_mc.add_argument("--n", type=int, default=None, help="sample size per replication")
     sim_mc.add_argument("--rho12", type=float, default=0.5)
     sim_mc.add_argument("--rho13", type=float, default=0.7)
@@ -115,6 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     rev.add_argument("rho23", type=float)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # argparse copies list defaults such as --ordering's before appending.
+    return build_parser()
 
 
 def _stamp(args, text: str) -> str:
@@ -595,7 +605,7 @@ def cmd_reverse_conditions(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze-regression":

@@ -207,6 +207,19 @@ def _student_t_sf(t: float, df: float) -> float:
     return 0.5 * float(special.betainc(df / 2.0, 0.5, x))
 
 
+def student_t_two_sided_p(t, df: float) -> np.ndarray:
+    """tail_prob(StudentT(df), t, "two") for an array of finite statistics.
+
+    Evaluates the same incomplete-beta expression as the scalar path, with
+    the same rounding for negative statistics, so every element equals the
+    scalar result. The caller checks df and the finiteness of t.
+    """
+    t = np.asarray(t, dtype=float)
+    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
+    p = np.where(t >= 0, 2.0 * half, 2.0 * (1.0 - (1.0 - half)))
+    return np.clip(p, 0.0, 1.0)
+
+
 def _fisher_f_sf(f: float, df1: float, df2: float) -> float:
     if f <= 0:
         return 1.0

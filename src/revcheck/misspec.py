@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .core_stats import FisherF, Series, StudentT, least_squares, sample_moments, tail_prob
 from .errors import (
@@ -299,6 +298,10 @@ def normality_check(residuals, alpha: float = 0.05) -> CheckResult:
         raise DegenerateData("residuals contain non-finite values")
     if np.var(u) <= 1e-15 * max(1.0, float(np.mean(u**2))):
         raise DegenerateData("residuals are numerically constant")
+    # Imported here: scipy.stats loads hundreds of modules that nothing
+    # else in the package needs.
+    from scipy import stats as scipy_stats
+
     with warnings.catch_warnings():
         # scipy warns that the kurtosis approximation is rough below n=20;
         # the pass/fail contract already tolerates that regime.

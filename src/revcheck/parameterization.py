@@ -34,7 +34,16 @@ from .errors import (
 _SYM_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _build_frozen(cls, **values):
+    """Instance of a frozen dataclass with a generated __init__, built
+    directly: that __init__ pays one object.__setattr__ call per field,
+    which dominates the cost of the small results returned here."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+@dataclass(frozen=True, init=False)
 class JointMoments:
     """Mean vector and covariance matrix of (y, x1, x2).
 
@@ -42,36 +51,37 @@ class JointMoments:
     semidefinite matrix (an exact linear dependence) is rejected because
     every conditional variance below would then be ill defined. The check
     unrolls Sylvester's criterion (strictly positive leading principal
-    minors) rather than factorizing, because the constructor sits on the
-    hot path of grid sweeps and Monte Carlo loops.
+    minors) rather than factorizing, and the constructor is written by hand
+    rather than generated, because it sits on the hot path of grid sweeps
+    and Monte Carlo loops.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
 
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+    def __init__(self, mu, sigma):
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
         if mu.shape != (3,) or sigma.shape != (3, 3):
             raise MismatchedInputs("JointMoments needs mu of shape (3,) and sigma (3, 3)")
         s00, s01, s02, s10, s11, s12, s20, s21, s22 = sigma.ravel().tolist()
         entries = (s00, s01, s02, s10, s11, s12, s20, s21, s22, *mu.tolist())
-        if not all(math.isfinite(v) for v in entries):
+        # A finite sum settles finiteness in one call; a non-finite one may
+        # still be an overflow of finite entries, so check those one by one.
+        if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
             raise NonPositiveVariance("moments contain non-finite entries")
-        scale = max(abs(v) for v in entries[:9])
-        if scale == 0:
-            raise NonPositiveVariance("sigma must be positive definite")
-        tol = _SYM_RTOL * scale
-        if abs(s01 - s10) > tol or abs(s02 - s20) > tol or abs(s12 - s21) > tol:
-            raise MismatchedInputs("sigma must be symmetric")
+        if s01 != s10 or s02 != s20 or s12 != s21:
+            tol = _SYM_RTOL * max(map(abs, entries[:9]))
+            if abs(s01 - s10) > tol or abs(s02 - s20) > tol or abs(s12 - s21) > tol:
+                raise MismatchedInputs("sigma must be symmetric")
+        # An all-zero sigma is symmetric and fails s00 > 0 below.
         minor2 = s00 * s11 - s01 * s10
         det = s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20) + s02 * (
             s10 * s21 - s11 * s20
         )
         if not (s00 > 0 and minor2 > 0 and det > 0):
             raise NonPositiveVariance("sigma must be positive definite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        self.__dict__.update(mu=mu, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,9 @@ def derive_full_params(m: JointMoments) -> FullRegressionParams:
     beta2 = (s13 * s22 - s12 * s23) / d
     beta0 = mu1 - beta1 * mu2 - beta2 * mu3
     sigma_u2 = s11 - s12 * beta1 - s13 * beta2
-    return FullRegressionParams(beta0=beta0, beta1=beta1, beta2=beta2, sigma_u2=sigma_u2)
+    return _build_frozen(
+        FullRegressionParams, beta0=beta0, beta1=beta1, beta2=beta2, sigma_u2=sigma_u2
+    )
 
 
 def derive_full_params_matrix(m: JointMoments) -> FullRegressionParams:
@@ -221,15 +233,18 @@ def check_reversal_conditions(rho12: float, rho13: float, rho23: float) -> Rever
         OutOfRangeCorrelation: if any input lies outside [-1, 1].
     """
     rho12, rho13, rho23 = float(rho12), float(rho13), float(rho23)
-    for name, r in (("rho12", rho12), ("rho13", rho13), ("rho23", rho23)):
-        if not math.isfinite(r) or abs(r) > 1.0:
-            raise OutOfRangeCorrelation(f"{name}={r!r} is outside [-1, 1]")
+    # NaN fails every comparison, so one chained test covers finiteness too.
+    if not (abs(rho12) <= 1.0 and abs(rho13) <= 1.0 and abs(rho23) <= 1.0):
+        for name, r in (("rho12", rho12), ("rho13", rho13), ("rho23", rho23)):
+            if not abs(r) <= 1.0:
+                raise OutOfRangeCorrelation(f"{name}={r!r} is outside [-1, 1]")
     product = rho13 * rho23
     same_sign = (product > 0 and rho12 > 0) or (product < 0 and rho12 < 0)
     product_exceeds = abs(product) > abs(rho12)
     corr_det = 1.0 - rho12**2 - rho13**2 - rho23**2 + 2.0 * rho12 * rho13 * rho23
     det_positive = corr_det > 0
-    return ReversalConditions(
+    return _build_frozen(
+        ReversalConditions,
         rho12=rho12,
         rho13=rho13,
         rho23=rho23,

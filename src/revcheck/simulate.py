@@ -3,8 +3,13 @@
 Reproducibility contract: every dataset is a pure function of (kind, seed),
 and Monte Carlo replication r draws from a stream derived from the pair
 (seed, r). Replications therefore never share state, which makes the
-aggregate error rate independent of execution order and of how many worker
-threads run the loop.
+aggregate error rate independent of how the work is split up.
+
+A Monte Carlo study generates and tests its replications in blocks of 256,
+held as stacked arrays with one row per replication, and runs the blocks
+one after another on the calling thread. Each row is exactly the dataset
+the replication's own stream gives, and each row fails with the error the
+per-dataset functions would raise for it.
 
 Four generators are provided:
 
@@ -20,17 +25,23 @@ opposite-signed pooled and per-group slopes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import misspec
-from .core_stats import Series, StudentT, sample_moments, tail_prob
-from .errors import GenerationFailed, InvalidSpec
+from .core_stats import COND_MAX, StudentT, sample_moments, student_t_two_sided_p, tail_prob
+from .errors import (
+    GenerationFailed,
+    InvalidDegreesOfFreedom,
+    InvalidSpec,
+    NonFiniteInput,
+    RankDeficient,
+    Underdetermined,
+    UnknownColumn,
+)
 from .parameterization import JointMoments
-from .regression import Dataset, ModelSpec, OrderingVariable, fit
-from .regression import coefficient_test as _coefficient_test
+from .regression import _DEGENERATE_RTOL, Dataset, ModelSpec, OrderingVariable
 
 # Trend coefficients (constant first) and noise settings that mimic the
 # classic marriage-ratio / mortality pair: both series drift downward over
@@ -149,18 +160,20 @@ class DgpSpec:
             raise InvalidSpec(f"unknown DGP kind {type(self.kind).__name__}")
 
 
-def _time_ordering(n: int) -> dict:
-    return {"t": OrderingVariable("t", "time", np.arange(1, n + 1, dtype=float))}
+def _ar1(z: np.ndarray, ar: float, innovation_sd: float) -> np.ndarray:
+    """AR(1) paths, one per row of standard normals z.
 
-
-def _ar1(rng: np.random.Generator, n: int, ar: float, innovation_sd: float) -> np.ndarray:
+    z[:, 0] scales to the stationary start and z[:, 1:] to the innovations.
+    The recursion steps over t for all rows at once, with the same
+    arithmetic as stepping one path alone.
+    """
     marginal_sd = innovation_sd / np.sqrt(1.0 - ar * ar)
-    values = np.empty(n)
-    state = marginal_sd * rng.standard_normal()
-    innovations = innovation_sd * rng.standard_normal(n)
-    for t in range(n):
-        state = ar * state + innovations[t]
-        values[t] = state
+    state = marginal_sd * z[:, 0]
+    innovations = innovation_sd * z[:, 1:]
+    values = np.empty_like(innovations)
+    for t in range(innovations.shape[1]):
+        state = ar * state + innovations[:, t]
+        values[:, t] = state
     return values
 
 
@@ -171,37 +184,52 @@ def _polynomial(coefficients: tuple, s: np.ndarray) -> np.ndarray:
     return total
 
 
-def _generate_with_rng(kind, rng: np.random.Generator) -> Dataset:
+def _draw_columns(kind, rngs: list) -> dict:
+    """The columns a DGP kind draws, one row per generator in rngs.
+
+    Each generator is consumed in the same order whatever the number of
+    rows: for TrendingPair the x start, the x innovations, the y start, then
+    the y innovations; for TwoGroupRegression each group's x draws, then its
+    noise draws.
+    """
     if isinstance(kind, NiidRegression):
         chol = np.linalg.cholesky(kind.joint.sigma)
-        draws = kind.joint.mu + rng.standard_normal((kind.n, 3)) @ chol.T
-        return Dataset(
-            columns={"y": draws[:, 0], "x1": draws[:, 1], "x2": draws[:, 2]},
-            orderings=_time_ordering(kind.n),
-        )
+        draws = kind.joint.mu + np.stack([rng.standard_normal((kind.n, 3)) @ chol.T for rng in rngs])
+        return {"y": draws[..., 0], "x1": draws[..., 1], "x2": draws[..., 2]}
     if isinstance(kind, TrendingPair):
         n = kind.n
+        z = np.stack([rng.standard_normal(2 * n + 2) for rng in rngs])
         s = np.arange(1, n + 1) / n
-        x = _polynomial(kind.trend_x, s) + _ar1(rng, n, kind.ar_x, kind.innovation_sd_x)
-        y = _polynomial(kind.trend_y, s) + _ar1(rng, n, kind.ar_y, kind.innovation_sd_y)
-        return Dataset(columns={"x": x, "y": y}, orderings=_time_ordering(n))
+        x = _polynomial(kind.trend_x, s) + _ar1(z[:, : n + 1], kind.ar_x, kind.innovation_sd_x)
+        y = _polynomial(kind.trend_y, s) + _ar1(z[:, n + 1 :], kind.ar_y, kind.innovation_sd_y)
+        return {"x": x, "y": y}
     if isinstance(kind, TwoGroupRegression):
+        z = np.stack([rng.standard_normal(2 * sum(kind.group_sizes)) for rng in rngs])
         xs, ys = [], []
-        for i in range(2):
-            n_i = kind.group_sizes[i]
-            x = kind.x_means[i] + kind.x_sd * rng.standard_normal(n_i)
-            y = kind.intercepts[i] + kind.slopes[i] * x + kind.noise_sds[i] * rng.standard_normal(n_i)
+        offset = 0
+        for i, n_i in enumerate(kind.group_sizes):
+            x = kind.x_means[i] + kind.x_sd * z[:, offset : offset + n_i]
+            noise = z[:, offset + n_i : offset + 2 * n_i]
+            ys.append(kind.intercepts[i] + kind.slopes[i] * x + kind.noise_sds[i] * noise)
             xs.append(x)
-            ys.append(y)
-        group = np.concatenate([np.ones(kind.group_sizes[0]), np.zeros(kind.group_sizes[1])])
-        return Dataset(
-            columns={"x": np.concatenate(xs), "y": np.concatenate(ys)},
-            orderings={"group": OrderingVariable("group", "binary_group", group)},
-        )
+            offset += 2 * n_i
+        return {"x": np.concatenate(xs, axis=1), "y": np.concatenate(ys, axis=1)}
     if isinstance(kind, BernoulliIid):
-        x = (rng.random(kind.n) < kind.theta).astype(float)
-        return Dataset(columns={"x": x}, orderings=_time_ordering(kind.n))
+        u = np.stack([rng.random(kind.n) for rng in rngs])
+        return {"x": (u < kind.theta).astype(float)}
     raise InvalidSpec(f"unknown DGP kind {type(kind).__name__}")
+
+
+def _orderings(kind) -> dict:
+    if isinstance(kind, TwoGroupRegression):
+        group = np.concatenate([np.ones(kind.group_sizes[0]), np.zeros(kind.group_sizes[1])])
+        return {"group": OrderingVariable("group", "binary_group", group)}
+    return {"t": OrderingVariable("t", "time", np.arange(1, kind.n + 1, dtype=float))}
+
+
+def _generate_with_rng(kind, rng: np.random.Generator) -> Dataset:
+    columns = _draw_columns(kind, [rng])
+    return Dataset(columns={name: rows[0] for name, rows in columns.items()}, orderings=_orderings(kind))
 
 
 def generate(spec: DgpSpec) -> Dataset:
@@ -296,19 +324,181 @@ def naive_correlation_test(x: np.ndarray, y: np.ndarray) -> tuple:
     return rho, tail_prob(StudentT(n - 2), t, "two")
 
 
-def _run_test(data: Dataset, test: TestDescriptor, alpha: float) -> bool:
-    if test.kind == "coefficient":
-        result = fit(data, ModelSpec(response=test.response, regressors=test.regressors))
-        outcome = _coefficient_test(result, result.index_of(test.target), test.null_value, alpha)
-        return outcome.reject
-    if test.kind == "naive_correlation":
-        _, p = naive_correlation_test(data.column(test.x), data.column(test.y))
-        return p < alpha
+# Replications generated and tested together; bounds the stacked arrays'
+# memory whatever the replication count.
+_BLOCK = 256
+
+
+class _FirstError:
+    """The error the lowest-numbered failing replication of a block raises.
+
+    Checks are flagged in the order the per-dataset functions run them, so
+    the earliest failing row reports the first check it fails, exactly as if
+    the replications ran one at a time.
+    """
+
+    def __init__(self, start: int):
+        self.start = start
+        self.row = None
+        self.error = None
+
+    def flag(self, bad: np.ndarray, error: type, message: str) -> None:
+        """Record `error` for the rows where `bad` holds."""
+        rows = np.flatnonzero(bad)
+        if rows.size and (self.row is None or rows[0] < self.row):
+            self.row = int(rows[0])
+            self.error = error(f"replication {self.start + self.row}: {message}")
+
+    def stop(self, error: type, message: str) -> None:
+        """Raise a check that every replication fails: the block's first
+        replication meets it, unless that one failed an earlier check."""
+        self.flag(np.ones(1, dtype=bool), error, message)
+        self.raise_first()
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _column(columns: dict, name: str, errors: _FirstError) -> np.ndarray:
+    if name not in columns:
+        errors.stop(UnknownColumn, f"no column named {name!r}")
+    return columns[name]
+
+
+def _least_squares_rows(design: np.ndarray, response: np.ndarray, errors: _FirstError) -> tuple:
+    """core_stats.least_squares for each row: (coefficients, residuals, R).
+
+    design is (rows, n, p), or (1, n, p) for a design every row shares, in
+    which case a rank failure is replication 0's. Rows least_squares would
+    reject as rank deficient are flagged and solved with an identity R, so
+    their numbers are meaningless but never stop the stacked solve.
+    """
+    q, r = np.linalg.qr(design)
+    sv = np.linalg.svd(r, compute_uv=False)
+    cond = sv[:, 0] / sv[:, -1]
+    singular = sv[:, -1] <= 0
+    ill = cond > COND_MAX
+    errors.flag(singular, RankDeficient, "design matrix is exactly rank deficient")
+    estimate = cond[ill.argmax()]  # the first ill-conditioned row's
+    errors.flag(ill, RankDeficient, f"design condition estimate {estimate:.3e} exceeds {COND_MAX:.1e}")
+    r = np.where((singular | ill)[:, None, None], np.eye(r.shape[-1]), r)
+    coefficients = np.linalg.solve(r, q.transpose(0, 2, 1) @ response[:, :, None])
+    residuals = response - (design @ coefficients)[:, :, 0]
+    return coefficients[:, :, 0], residuals, r
+
+
+def _t_rejections(t: np.ndarray, df: int, alpha: float, tested: np.ndarray, errors: _FirstError) -> np.ndarray:
+    """Rows of `tested` where tail_prob(StudentT(df), t, "two") < alpha."""
+    errors.flag(tested & ~np.isfinite(t), NonFiniteInput, "test statistic must be finite")
+    if df < 1:
+        errors.flag(tested, InvalidDegreesOfFreedom, f"degrees of freedom {df!r} must be >= 1")
+    return tested & (student_t_two_sided_p(t, df) < alpha)
+
+
+def _row_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sample_moments(column_stack([x, y])).corr[0, 1] of every row: NaN
+    where either series has zero variance."""
+    n = x.shape[1]
+    cx = x - x.mean(axis=1, keepdims=True)
+    cy = y - y.mean(axis=1, keepdims=True)
+    cov = np.einsum("ij,ij->i", cx, cy) / n
+    sd_x = np.sqrt(np.einsum("ij,ij->i", cx, cx) / n)
+    sd_y = np.sqrt(np.einsum("ij,ij->i", cy, cy) / n)
+    rho = np.where((sd_x > 0) & (sd_y > 0), cov / (sd_x * sd_y), np.nan)
+    return np.clip(rho, -1.0, 1.0)
+
+
+def _correlation_rejections(rho: np.ndarray, df: int, alpha: float, errors: _FirstError) -> np.ndarray:
+    """The t-test of zero correlation that naive_correlation_test and
+    misspec.corrected_correlation apply; |rho| >= 1 has p = 0."""
+    perfect = np.abs(rho) >= 1.0
+    t = rho * np.sqrt(df / (1.0 - rho * rho))
+    return perfect | _t_rejections(t, df, alpha, np.isfinite(rho) & ~perfect, errors)
+
+
+def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
+    # regression.fit: design_matrix, least_squares, _summarize.
+    spec = ModelSpec(response=test.response, regressors=test.regressors)
+    regressors = [_column(columns, name, errors) for name in spec.regressors]
+    y = _column(columns, spec.response, errors)
+    design = np.stack([np.ones_like(y), *regressors], axis=-1)
+    n, p = design.shape[1:]
+    if n <= p:
+        errors.stop(Underdetermined, f"{n} observations cannot identify {p} parameters")
+    coefficients, residuals, r = _least_squares_rows(design, y, errors)
+    rss = np.einsum("ij,ij->i", residuals, residuals)
+    tss = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    scale = np.maximum(np.maximum(tss, np.einsum("ij,ij->i", y, y)), 1.0)
+    degenerate = (rss <= _DEGENERATE_RTOL * scale) | (residuals.var(axis=1) <= _DEGENERATE_RTOL * scale / n)
+    r_inv = np.linalg.inv(r)
+    std_errors = np.sqrt((rss / (n - p))[:, None] * np.sum(r_inv * r_inv, axis=2))
+    std_errors[degenerate] = 0.0
+    t_ratios = coefficients / std_errors
+    errors.flag(~degenerate & ~np.isfinite(t_ratios).all(axis=1), NonFiniteInput, "test statistic must be finite")
+
+    # FitResult.index_of, then regression.coefficient_test.
+    terms = ("intercept",) + spec.regressors
+    if test.target not in terms:
+        errors.stop(UnknownColumn, f"no fitted term named {test.target!r}")
+    index = terms.index(test.target)
+    diff = coefficients[:, index] - test.null_value
+    se = std_errors[:, index]
+    zero_se = se == 0
+    # A zero standard error gives p = 0 (reject) unless the estimate sits
+    # exactly on the null value, where p = 1.
+    return np.where(zero_se, diff != 0, _t_rejections(diff / se, n - p, alpha, ~zero_se, errors))
+
+
+def _naive_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
+    # naive_correlation_test.
+    x = _column(columns, test.x, errors)
+    y = _column(columns, test.y, errors)
+    rho = _row_correlations(x, y)
+    errors.flag(~np.isfinite(rho), InvalidSpec, "a column has zero variance")
+    return _correlation_rejections(rho, x.shape[1] - 2, alpha, errors)
+
+
+def _detrend_rows(values: np.ndarray, degree: int, errors: _FirstError) -> np.ndarray:
+    # misspec.detrend: one QR of the trend design every row shares.
+    n = values.shape[1]
+    s = np.arange(1, n + 1) / n
+    design = np.column_stack([np.ones(n)] + [s**k for k in range(1, degree + 1)])
+    return _least_squares_rows(design[None], values, errors)[1]
+
+
+def _dememorize_rows(values: np.ndarray, lags: int, errors: _FirstError) -> np.ndarray:
+    # misspec.dememorize: a stacked QR of each row's own-lag design.
+    n = values.shape[1]
+    flat = values.var(axis=1) <= 1e-15 * np.maximum(1.0, np.mean(values**2, axis=1))
+    errors.flag(flat, Underdetermined, "series has zero variance")
+    if n - lags <= 1 + lags:
+        errors.stop(Underdetermined, f"{n - lags} observations cannot identify {1 + lags} parameters")
+    lagged = [values[:, lags - k : n - k] for k in range(1, lags + 1)]
+    design = np.stack([np.ones_like(lagged[0]), *lagged], axis=-1)
+    return _least_squares_rows(design, values[:, lags:], errors)[1]
+
+
+def _corrected_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
+    # misspec.corrected_correlation.
     cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
-    corrected = misspec.corrected_correlation(
-        Series(data.column(test.x), test.x), Series(data.column(test.y), test.y), cfg
-    )
-    return corrected.p_value < alpha
+    x = _column(columns, test.x, errors)
+    y = _column(columns, test.y, errors)
+    n = x.shape[1]
+    if n <= cfg.trend_degree + cfg.lag_count + 3:
+        errors.stop(Underdetermined, "too few observations for the configured trend degree and lags")
+    x_clean = _dememorize_rows(_detrend_rows(x, cfg.trend_degree, errors), cfg.lag_count, errors)
+    y_clean = _dememorize_rows(_detrend_rows(y, cfg.trend_degree, errors), cfg.lag_count, errors)
+    rho = _row_correlations(x_clean, y_clean)
+    errors.flag(~np.isfinite(rho), Underdetermined, "a corrected series has zero variance")
+    return _correlation_rejections(rho, n - cfg.lag_count - 2, alpha, errors)
+
+
+_REJECTIONS = {
+    "coefficient": _coefficient_rejections,
+    "naive_correlation": _naive_rejections,
+    "corrected_correlation": _corrected_rejections,
+}
 
 
 def mc_error_rate(
@@ -321,11 +511,16 @@ def mc_error_rate(
     """Empirical rejection rate of a test under a data-generating process.
 
     Replication r consumes the stream derived from (dgp.seed, r), so the
-    result is a pure function of the arguments regardless of `threads`.
+    result is a pure function of the arguments. Replications are generated
+    and tested in blocks of 256 as stacked arrays, one block after another
+    on the calling thread. `threads` is validated but changes neither the
+    result nor how the work runs.
 
     Raises:
         InvalidSpec: if replications < 1000 (the rate would be too noisy
             to interpret against a nominal level).
+        RevcheckError: the error the first failing replication raises when
+            its dataset is generated and tested on its own.
     """
     if replications < 1000:
         raise InvalidSpec("use at least 1000 replications")
@@ -334,20 +529,27 @@ def mc_error_rate(
     if threads < 1:
         raise InvalidSpec("threads must be >= 1")
 
-    def one(replication: int) -> bool:
-        data = _generate_with_rng(dgp.kind, rng_for(dgp.seed, replication))
-        return _run_test(data, test, alpha)
-
-    if threads == 1:
-        rejections = sum(one(r) for r in range(replications))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rejections = sum(pool.map(one, range(replications), chunksize=256))
+    rejections = 0
+    for start in range(0, replications, _BLOCK):
+        errors = _FirstError(start)
+        rngs = [rng_for(dgp.seed, r) for r in range(start, min(start + _BLOCK, replications))]
+        columns = _draw_columns(dgp.kind, rngs)
+        for name, rows in columns.items():
+            bad = ~np.isfinite(rows).all(axis=1)
+            errors.flag(bad, NonFiniteInput, f"column {name!r} contains non-finite values")
+            rows[bad] = 0.0  # keeps the stacked factorizations below finite
+        # Replication 0 is generated before any check of the test runs.
+        if errors.row == 0:
+            errors.raise_first()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            reject = _REJECTIONS[test.kind](columns, test, alpha, errors)
+        errors.raise_first()
+        rejections += int(np.count_nonzero(reject))
     rate = rejections / replications
     mc_se = float(np.sqrt(alpha * (1.0 - alpha) / replications))
     return MonteCarloResult(
         replications=replications,
-        rejections=int(rejections),
+        rejections=rejections,
         rejection_rate=rate,
         mc_se=mc_se,
         alpha=alpha,

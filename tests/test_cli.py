@@ -279,3 +279,32 @@ def test_reverse_conditions_json(capsys):
     assert payload["unit_variance_params"] is None
     code, _, err = run(["reverse-conditions", "1.5", "0.7", "0.8"], capsys)
     assert code == 2 and "error:" in err
+
+
+def test_ordering_does_not_leak_between_calls(example3_csv, trending_csv, capsys):
+    # main reuses one parser per process, and --ordering appends to a list
+    # default: a leak would hand the trending file a "group" ordering.
+    code, _, err = run(
+        ["analyze-regression", example3_csv, "--response", "y", "--regressors", "x",
+         "--ordering", "group", "--by-group", "group"],
+        capsys,
+    )
+    assert code == 0, err
+    code, out, err = run(
+        ["analyze-regression", trending_csv, "--response", "y", "--regressors", "x",
+         "--ordering", "t:time"],
+        capsys,
+    )
+    assert code == 0, err
+    assert "Corrected correlation: " in out
+    args = cli._parser().parse_args(["analyze-regression", trending_csv, "--response", "y", "--regressors", "x"])
+    assert args.ordering == []
+
+
+def test_argument_errors_exit_2(capsys):
+    for argv in (["analyze-regression"], ["--alpha", "x", "reverse-conditions", "0", "0", "0"], ["no-such-command"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "usage: revcheck" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from revcheck.core_stats import (
     StudentT,
     least_squares,
     sample_moments,
+    student_t_two_sided_p,
     tail_prob,
 )
 from revcheck.errors import (
@@ -188,3 +189,10 @@ def test_tail_prob_error_paths():
         tail_prob(Normal(), float("nan"), "one")
     with pytest.raises(MismatchedInputs):
         tail_prob(Normal(), 1.0, "both")
+
+
+def test_student_t_two_sided_p_equals_scalar_tail_prob():
+    t = np.concatenate([np.linspace(-9.0, 9.0, 181), [-0.0, 1e-300, -1e-300, 40.0, -40.0]])
+    for df in (1, 3, 42, 97):
+        expected = [tail_prob(StudentT(df), value, "two") for value in t]
+        assert student_t_two_sided_p(t, df).tolist() == expected

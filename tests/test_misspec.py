@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import revcheck
 from revcheck import misspec
 from revcheck.core_stats import Series, StudentT, tail_prob
 from revcheck.errors import DegenerateData, TooFewResiduals, Underdetermined
@@ -286,3 +290,14 @@ def test_run_battery_respects_alpha():
     assert not strict.overall_adequate  # nearly everything fails at alpha ~ 1
     lax = run_battery(data, base, BatteryConfig(alpha=1e-12))
     assert lax.overall_adequate
+
+
+def test_importing_revcheck_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second to import; only normality_check
+    # needs it, and loads it on first use.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, revcheck; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

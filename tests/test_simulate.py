@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from revcheck.core_stats import StudentT, sample_moments, tail_prob
-from revcheck.errors import GenerationFailed, InvalidSpec
-from revcheck.parameterization import joint_moments_from_correlations
-from revcheck.regression import ModelSpec, fit
+from revcheck import core_stats, misspec, regression, simulate
+from revcheck.core_stats import Series, StudentT, sample_moments, tail_prob
+from revcheck.errors import GenerationFailed, InvalidSpec, RankDeficient, Underdetermined, UnknownColumn
+from revcheck.misspec import BatteryConfig, corrected_correlation
+from revcheck.parameterization import derive_full_params, joint_moments_from_correlations
+from revcheck.regression import ModelSpec, coefficient_test, fit
 from revcheck.simulate import (
     BernoulliIid,
     DgpSpec,
@@ -14,6 +17,7 @@ from revcheck.simulate import (
     TestDescriptor,
     TrendingPair,
     TwoGroupRegression,
+    _generate_with_rng,
     constrained_two_group,
     example3_generator,
     generate,
@@ -190,3 +194,155 @@ def test_naive_correlation_degenerate_inputs():
     rho, p = naive_correlation_test(x, 2.0 * x + 1.0)
     assert rho == pytest.approx(1.0)
     assert p == 0.0
+
+
+def test_generated_streams_are_pinned():
+    # Replication r of a study is the dataset rng_for(seed, r) gives; these
+    # values pin the draw order (x start, x innovations, y start, y
+    # innovations) so stored size tables stay reproducible.
+    data = generate(DgpSpec(kind=TrendingPair(), seed=0))
+    x, y = data.columns["x"], data.columns["y"]
+    assert [x[0], x[-1], y[0], y[-1]] == pytest.approx(
+        [75.80386831240531, 61.72064697731098, 24.83662267185802, 14.591340907387691], rel=1e-12
+    )
+
+
+def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: int, alpha: float = 0.05) -> list:
+    """Each replication's decision, testing one generated dataset at a time
+    through the public per-dataset functions."""
+    decisions = []
+    for r in range(replications):
+        data = _generate_with_rng(kind, rng_for(seed, r))
+        if test.kind == "coefficient":
+            result = fit(data, ModelSpec(response=test.response, regressors=test.regressors))
+            decision = coefficient_test(result, result.index_of(test.target), test.null_value, alpha).reject
+        elif test.kind == "naive_correlation":
+            decision = naive_correlation_test(data.column(test.x), data.column(test.y))[1] < alpha
+        else:
+            cfg = BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
+            corrected = corrected_correlation(Series(data.column(test.x)), Series(data.column(test.y)), cfg)
+            decision = corrected.p_value < alpha
+        decisions.append(bool(decision))
+    return decisions
+
+
+_NIID = NiidRegression(joint=joint_moments_from_correlations(0.5, 0.7, 0.8), n=100)
+_TWO_GROUP = TwoGroupRegression(
+    intercepts=(1.0, 1.0),
+    slopes=(0.2, 0.2),
+    x_means=(0.0, 0.0),
+    x_sd=1.0,
+    noise_sds=(1.0, 1.0),
+    group_sizes=(20, 30),
+)
+_PAIRINGS = {
+    "niid-coefficient": (
+        _NIID,
+        TestDescriptor(
+            kind="coefficient",
+            regressors=("x1", "x2"),
+            target="x1",
+            null_value=derive_full_params(_NIID.joint).beta1,
+        ),
+    ),
+    "trending-naive": (TrendingPair(), TestDescriptor(kind="naive_correlation")),
+    "trending-corrected": (TrendingPair(), TestDescriptor(kind="corrected_correlation")),
+    "two-group-coefficient": (
+        _TWO_GROUP,
+        TestDescriptor(kind="coefficient", regressors=("x",), target="x", null_value=0.2),
+    ),
+    "two-group-naive": (_TWO_GROUP, TestDescriptor(kind="naive_correlation")),
+}
+
+
+@pytest.mark.parametrize("pairing", sorted(_PAIRINGS))
+@pytest.mark.parametrize("seed", [0, 11, 2026])
+def test_batched_study_matches_per_dataset_reference(pairing, seed):
+    # 1,000 and 1,300 replications both end in a partial block of 256.
+    kind, test = _PAIRINGS[pairing]
+    decisions = _reference_rejections(kind, seed, test, 1300)
+    for replications in (1000, 1300):
+        result = mc_error_rate(DgpSpec(kind, seed), test, replications=replications)
+        assert result.rejections == sum(decisions[:replications])
+
+
+@pytest.mark.parametrize(
+    "kind, test, error",
+    [
+        (BernoulliIid(theta=0.0, n=20), TestDescriptor(kind="naive_correlation", x="x", y="x"), InvalidSpec),
+        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1", "z"), target="x1"), UnknownColumn),
+        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1",), target="x2"), UnknownColumn),
+        (BernoulliIid(theta=0.0, n=20), TestDescriptor(kind="corrected_correlation", x="x", y="x"), Underdetermined),
+        (TrendingPair(n=12), TestDescriptor(kind="corrected_correlation", lag_count=6, trend_degree=1), Underdetermined),
+        (TrendingPair(n=60), TestDescriptor(kind="corrected_correlation", trend_degree=16), RankDeficient),
+    ],
+)
+def test_batched_study_raises_what_the_per_dataset_path_raises(kind, test, error):
+    with pytest.raises(error):
+        _reference_rejections(kind, 3, test, 1000)
+    with pytest.raises(error):
+        mc_error_rate(DgpSpec(kind, 3), test, replications=1000)
+
+
+def test_batched_study_reports_the_first_failing_replication():
+    # All-zero draws are rare at this size, so the first one falls inside a
+    # later block; the per-dataset path fails there with the same error.
+    kind = BernoulliIid(theta=0.05, n=150)
+    first = None
+    for r in range(5000):
+        x = _generate_with_rng(kind, rng_for(1, r)).column("x")
+        try:
+            naive_correlation_test(x, x)
+        except InvalidSpec:
+            first = r
+            break
+    assert first is not None and first >= 256
+    test = TestDescriptor(kind="naive_correlation", x="x", y="x")
+    with pytest.raises(InvalidSpec, match=f"^replication {first}: a column has zero variance$"):
+        mc_error_rate(DgpSpec(kind, 1), test, replications=5000)
+
+
+def test_block_errors_follow_the_first_failing_replication():
+    errors = simulate._FirstError(start=512)
+    rows = np.arange(8)
+    errors.flag(np.isin(rows, [5, 6]), Underdetermined, "a later check")
+    errors.flag(rows == 3, InvalidSpec, "row 3")
+    errors.flag(rows == 3, UnknownColumn, "a check after the one row 3 failed")
+    with pytest.raises(InvalidSpec, match="^replication 515: row 3$"):
+        errors.raise_first()
+    # A check every replication fails is first met by the block's first row...
+    with pytest.raises(UnknownColumn, match="^replication 512: "):
+        errors.stop(UnknownColumn, "no column named 'z'")
+    # ...unless that row already failed an earlier check.
+    errors = simulate._FirstError(start=0)
+    errors.flag(rows == 0, InvalidSpec, "an earlier check")
+    with pytest.raises(InvalidSpec, match="^replication 0: an earlier check$"):
+        errors.stop(UnknownColumn, "no column named 'z'")
+
+
+def test_batched_study_makes_no_per_replication_calls(monkeypatch):
+    # Guards against a silent fallback to fitting one replication at a time.
+    originals = (core_stats.sample_moments, misspec.dememorize, regression.fit)
+    watched = dict.fromkeys(originals, 0)
+
+    def counting(func):
+        def wrapper(*args, **kwargs):
+            watched[func] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "revcheck" or name.startswith("revcheck."):
+            for attr, value in list(vars(module).items()):
+                if any(value is func for func in watched):
+                    monkeypatch.setattr(module, attr, counting(value))
+
+    # The counters see calls made through any module's binding.
+    misspec.corrected_correlation(Series(np.arange(30.0) ** 1.5), Series(np.cos(np.arange(30.0))))
+    regression.fit(_generate_with_rng(_NIID, rng_for(0)), ModelSpec(response="y", regressors=("x1",)))
+    assert [watched[func] for func in originals] == [1, 2, 1]
+    watched.update(dict.fromkeys(originals, 0))
+    result = mc_error_rate(DgpSpec(TrendingPair(), 4), TestDescriptor(kind="corrected_correlation"), replications=1000)
+    assert result.replications == 1000
+    assert [watched[func] for func in originals] == [0, 0, 0]
