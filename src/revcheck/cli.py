@@ -252,10 +252,8 @@ def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: mi
     """Conditional side for a lone trending pair: the corrected correlation."""
     x = Series(data.column(regressor), regressor)
     y = Series(data.column(response), response)
-    corrected = misspec.corrected_correlation(x, y, cfg)
+    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
     source = "corrected correlation"
-    x_clean = misspec.dememorize(misspec.detrend(x, cfg.trend_degree), cfg.lag_count)
-    y_clean = misspec.dememorize(misspec.detrend(y, cfg.trend_degree), cfg.lag_count)
     n_eff = len(x_clean)
     clean = Dataset(
         columns={regressor: x_clean.values, response: y_clean.values},

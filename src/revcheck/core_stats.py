@@ -4,15 +4,21 @@ Everything downstream (regression fits, diagnostic batteries, contingency
 tests) is built on the three operations in this module, so their contracts
 are kept deliberately narrow and strict: finite inputs only, explicit errors
 instead of NaN propagation, and a documented divisor convention.
+
+Least squares, correlations and their t-tests work on stacked rows, one
+problem per row: a per-dataset call is the batch-of-one case, and a size
+study runs the same code on a block of replications. Checks report to an
+error sink: `flag(mask, error, message)` for the rows that fail, `stop`
+for a check every row fails. Per-dataset calls pass `_RAISE`, which raises
+at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_triangular
 
 from .errors import (
     EmptyData,
@@ -23,12 +29,26 @@ from .errors import (
     Underdetermined,
 )
 
-# Default ceiling on the design-matrix condition number before a fit is
-# declared rank deficient.
+# Ceiling on the design-matrix condition number before a fit is declared
+# rank deficient.
 COND_MAX = 1e10
 
 # Absolute tolerance target for tail probabilities.
 TAIL_PROB_ATOL = 1e-8
+
+
+class _Raise:
+    """The per-dataset error sink: a failed check raises at once."""
+
+    def flag(self, bad, error: type, message: str) -> None:
+        if np.any(bad):
+            raise error(message)
+
+    def stop(self, error: type, message: str) -> None:
+        raise error(message)
+
+
+_RAISE = _Raise()
 
 
 def _as_finite_array(values, name: str, min_len: int = 1) -> np.ndarray:
@@ -120,9 +140,60 @@ class LeastSquaresSolution:
     rss: float
     xtx_inverse: np.ndarray
     condition_estimate: float
+    # Q'y: its last q entries' squared norm is the RSS dropping the last q
+    # columns would add.
+    _qty: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def least_squares(design, response, cond_max: float = COND_MAX) -> LeastSquaresSolution:
+@dataclass(frozen=True)
+class _Solves:
+    """Stacked least-squares solutions, one per row (see `_solve`)."""
+
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    r: np.ndarray
+    qty: np.ndarray
+    condition: np.ndarray
+    singular: np.ndarray
+    ill_conditioned: np.ndarray
+
+    @property
+    def xtx_inverse(self) -> np.ndarray:
+        """(X'X)^{-1} = R^{-1} R^{-T} for each row."""
+        r_inv = np.linalg.inv(self.r)
+        return r_inv @ np.swapaxes(r_inv, -1, -2)
+
+
+def _solve(design: np.ndarray, response: np.ndarray, errors) -> _Solves:
+    """min ||y - X b|| for each row, by reduced QR of X.
+
+    design is (..., n, p) and response (..., n); a design without leading
+    axes, or with a leading axis of 1, is shared by every row and factored
+    once. Rows whose R is singular or whose condition estimate exceeds
+    COND_MAX are flagged as rank deficient and solved against an identity R,
+    so their numbers are meaningless but never stop the stacked solve.
+    """
+    n, p = design.shape[-2:]
+    if n <= p:
+        errors.stop(Underdetermined, f"{n} observations cannot identify {p} parameters")
+    q, r = np.linalg.qr(design)
+    sv = np.linalg.svd(r, compute_uv=False)
+    singular = sv[..., -1] <= 0
+    with np.errstate(divide="ignore"):
+        condition = sv[..., 0] / sv[..., -1]
+    ill = ~singular & (condition > COND_MAX)
+    errors.flag(singular, RankDeficient, "design matrix is exactly rank deficient")
+    if np.any(ill):
+        estimate = condition[ill].flat[0]  # the first ill-conditioned row's
+        errors.flag(ill, RankDeficient, f"design condition estimate {estimate:.3e} exceeds {COND_MAX:.1e}")
+    r = np.where((singular | ill)[..., None, None], np.eye(p), r)
+    qty = np.swapaxes(q, -1, -2) @ response[..., None]
+    coefficients = np.linalg.solve(r, qty)
+    residuals = response - (design @ coefficients)[..., 0]
+    return _Solves(coefficients[..., 0], residuals, r, qty[..., 0], condition, singular, ill)
+
+
+def least_squares(design, response) -> LeastSquaresSolution:
     """Solve min ||y - X b|| by orthogonal (QR) decomposition.
 
     Normal equations are never formed for the solve itself; (X'X)^{-1} is
@@ -131,11 +202,10 @@ def least_squares(design, response, cond_max: float = COND_MAX) -> LeastSquaresS
     Args:
         design: (n, p) matrix, intercept column included by the caller.
         response: length-n vector.
-        cond_max: condition-number ceiling before RankDeficient is raised.
 
     Raises:
         Underdetermined: if n <= p.
-        RankDeficient: if the condition estimate exceeds cond_max.
+        RankDeficient: if the condition estimate exceeds COND_MAX.
         MismatchedInputs: if design and response lengths disagree.
     """
     X = _as_finite_array(design, "design")
@@ -144,32 +214,37 @@ def least_squares(design, response, cond_max: float = COND_MAX) -> LeastSquaresS
     y = _as_finite_array(response, "response")
     if y.ndim != 1:
         raise MismatchedInputs("response must be one-dimensional")
-    n, p = X.shape
-    if len(y) != n:
-        raise MismatchedInputs(f"design has {n} rows but response has {len(y)}")
-    if n <= p:
-        raise Underdetermined(f"{n} observations cannot identify {p} parameters")
-
-    q, r = np.linalg.qr(X)
-    sv = np.linalg.svd(r, compute_uv=False)
-    if sv[-1] <= 0:
-        raise RankDeficient("design matrix is exactly rank deficient")
-    cond = float(sv[0] / sv[-1])
-    if cond > cond_max:
-        raise RankDeficient(f"design condition estimate {cond:.3e} exceeds {cond_max:.1e}")
-
-    coef = solve_triangular(r, q.T @ y)
-    residuals = y - X @ coef
-    rss = float(residuals @ residuals)
-    r_inv = solve_triangular(r, np.eye(p))
-    xtx_inverse = r_inv @ r_inv.T
+    if len(y) != X.shape[0]:
+        raise MismatchedInputs(f"design has {X.shape[0]} rows but response has {len(y)}")
+    solves = _solve(X, y, _RAISE)
     return LeastSquaresSolution(
-        coefficients=coef,
-        residuals=residuals,
-        rss=rss,
-        xtx_inverse=xtx_inverse,
-        condition_estimate=cond,
+        coefficients=solves.coefficients,
+        residuals=solves.residuals,
+        rss=float(solves.residuals @ solves.residuals),
+        xtx_inverse=solves.xtx_inverse,
+        condition_estimate=float(solves.condition),
+        _qty=solves.qty,
     )
+
+
+def _correlation_test(x: np.ndarray, y: np.ndarray, df: int, errors, zero_variance: tuple) -> tuple:
+    """Correlation of each row of x with the same row of y, as sample_moments
+    gives it, and its two-sided t-test p-value on df degrees of freedom
+    (p = 0 where |rho| = 1). Rows where a series is constant are flagged
+    with zero_variance, an (error, message) pair."""
+    n = x.shape[-1]
+    cx = x - x.mean(axis=-1, keepdims=True)
+    cy = y - y.mean(axis=-1, keepdims=True)
+    cov, var_x, var_y = (np.einsum("...i,...i->...", a, b) / n for a, b in ((cx, cy), (cx, cx), (cy, cy)))
+    sd_x, sd_y = np.sqrt(var_x), np.sqrt(var_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where((sd_x > 0) & (sd_y > 0), cov / (sd_x * sd_y), np.nan)
+        errors.flag(~np.isfinite(rho), *zero_variance)
+        rho = np.clip(rho, -1.0, 1.0)
+        perfect = np.abs(rho) >= 1.0
+        t = rho * np.sqrt(df / (1.0 - rho * rho))
+    p = _t_test_p(t, df, np.isfinite(rho) & ~perfect, errors)
+    return rho, np.where(perfect, 0.0, p)
 
 
 @dataclass(frozen=True)
@@ -199,25 +274,26 @@ def _check_df(*dfs: float) -> None:
             raise InvalidDegreesOfFreedom(f"degrees of freedom {df!r} must be >= 1")
 
 
-def _student_t_sf(t: float, df: float) -> float:
-    # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 for t >= 0.
-    if t < 0:
-        return 1.0 - _student_t_sf(-t, df)
-    x = df / (df + t * t)
-    return 0.5 * float(special.betainc(df / 2.0, 0.5, x))
+def _student_t_sf(t, df: float):
+    # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 for t >= 0, elementwise.
+    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
+    return np.where(t >= 0, half, 1.0 - half)
 
 
 def student_t_two_sided_p(t, df: float) -> np.ndarray:
-    """tail_prob(StudentT(df), t, "two") for an array of finite statistics.
-
-    Evaluates the same incomplete-beta expression as the scalar path, with
-    the same rounding for negative statistics, so every element equals the
-    scalar result. The caller checks df and the finiteness of t.
-    """
+    """tail_prob(StudentT(df), t, "two") for an array of finite statistics,
+    element for element; the caller checks df and the finiteness of t."""
     t = np.asarray(t, dtype=float)
-    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
-    p = np.where(t >= 0, 2.0 * half, 2.0 * (1.0 - (1.0 - half)))
-    return np.clip(p, 0.0, 1.0)
+    upper = _student_t_sf(t, df)
+    return np.clip(2.0 * np.where(t >= 0, upper, 1.0 - upper), 0.0, 1.0)
+
+
+def _t_test_p(t, df: float, tested, errors) -> np.ndarray:
+    """student_t_two_sided_p, with tail_prob's checks flagged where `tested` holds."""
+    errors.flag(tested & ~np.isfinite(t), NonFiniteInput, "test statistic must be finite")
+    if df < 1:
+        errors.flag(tested, InvalidDegreesOfFreedom, f"degrees of freedom {df!r} must be >= 1")
+    return student_t_two_sided_p(t, df)
 
 
 def _fisher_f_sf(f: float, df1: float, df2: float) -> float:
@@ -258,7 +334,7 @@ def tail_prob(dist, stat: float, sides: str = "two") -> float:
 
     if isinstance(dist, StudentT):
         _check_df(dist.df)
-        upper = _student_t_sf(stat, dist.df)
+        upper = float(_student_t_sf(stat, dist.df))
         symmetric = True
     elif isinstance(dist, Normal):
         upper = _normal_sf(stat)

@@ -29,16 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import FisherF, Series, StudentT, least_squares, sample_moments, tail_prob
+from .core_stats import _RAISE, FisherF, Series, _correlation_test, _solve, tail_prob
 from .errors import (
     DegenerateData,
     GroupTooSmall,
     InvalidSpec,
     MismatchedInputs,
+    RankDeficient,
     TooFewResiduals,
     Underdetermined,
 )
-from .regression import Dataset, FitResult, ModelSpec, Shift, fit, subset_fit
+from .regression import Dataset, FitResult, ModelSpec, _fit, subset_fit
 
 PASS = "pass"
 FAIL = "fail"
@@ -145,18 +146,18 @@ def _fresh_name(taken, stem: str) -> str:
 
 
 def _added_terms_f(columns: dict, resid_name: str, base_names: tuple, added_names: tuple) -> AuxiliaryResult:
-    """F-test of `added_names` in a residual regression, via two nested fits."""
-    aux_data = Dataset(columns=columns)
-    full = fit(aux_data, ModelSpec(response=resid_name, regressors=base_names + added_names))
+    """F-test of `added_names` in a residual regression. They are the last
+    q design columns, so the fit without them has the full fit's RSS plus
+    the squared norm of the last q entries of Q'y; dropping columns cannot
+    raise the condition number, so that fit cannot fail where this one ran."""
+    spec = ModelSpec(response=resid_name, regressors=base_names + added_names)
+    full, solution = _fit(Dataset(columns=columns), spec)
     if full.degenerate:
         raise DegenerateData("auxiliary regression is degenerate")
-    restricted = fit(aux_data, ModelSpec(response=resid_name, regressors=base_names))
     q = len(added_names)
     df_den = full.n_used - len(full.coefficients)
-    rss_f = float(full.residuals @ full.residuals)
-    rss_r = float(restricted.residuals @ restricted.residuals)
-    f_stat = ((rss_r - rss_f) / q) / (rss_f / df_den)
-    f_stat = max(f_stat, 0.0)
+    added_qty = solution._qty[-q:]
+    f_stat = (float(added_qty @ added_qty) / q) / (solution.rss / df_den)
     joint_p = tail_prob(FisherF(q, df_den), f_stat, "one")
     per_term_p = {name: float(full.p_values[full.index_of(name)]) for name in added_names}
     return AuxiliaryResult(
@@ -368,22 +369,39 @@ def homoskedasticity_check(
     return _squared_residual_regression(data, base, alpha)
 
 
+def _detrend_rows(values: np.ndarray, degree: int, errors) -> np.ndarray:
+    """detrend of each row of values: one QR of the trend design they share."""
+    if degree < 1:
+        errors.stop(InvalidSpec, "degree must be >= 1")
+    n = values.shape[-1]
+    if n <= degree + 1:
+        errors.stop(Underdetermined, f"detrend of degree {degree} needs more than {degree + 1} points")
+    s = np.arange(1, n + 1) / n
+    design = np.column_stack([np.ones(n)] + [s**k for k in range(1, degree + 1)])
+    return _solve(design, values, errors).residuals
+
+
 def detrend(series: Series, degree: int = 3) -> Series:
     """Residuals of a series on a normalized polynomial trend.
 
     The trend columns are (t/n)^1 .. (t/n)^degree with t = 1..n, plus an
     intercept. Applying detrend twice is the same as applying it once.
     """
-    if degree < 1:
-        raise InvalidSpec("degree must be >= 1")
-    y = series.values
-    n = len(y)
-    if n <= degree + 1:
-        raise Underdetermined(f"detrend of degree {degree} needs more than {degree + 1} points")
-    s = np.arange(1, n + 1) / n
-    design = np.column_stack([np.ones(n)] + [s**k for k in range(1, degree + 1)])
-    solution = least_squares(design, y)
-    return Series(values=solution.residuals, label=series.label)
+    return Series(values=_detrend_rows(series.values, degree, _RAISE), label=series.label)
+
+
+def _dememorize_rows(values: np.ndarray, lags: int, errors) -> np.ndarray:
+    """dememorize of each row of values, each against its own-lag design."""
+    if lags < 1:
+        errors.stop(InvalidSpec, "lags must be >= 1")
+    n = values.shape[-1]
+    if n <= lags + 2:
+        errors.stop(Underdetermined, f"dememorize with {lags} lags needs more than {lags + 2} points")
+    flat = np.var(values, axis=-1) <= 1e-15 * np.maximum(1.0, np.mean(values**2, axis=-1))
+    errors.flag(flat, Underdetermined, "series has zero variance")
+    lagged = [values[..., lags - k : n - k] for k in range(1, lags + 1)]
+    design = np.stack([np.ones_like(lagged[0]), *lagged], axis=-1)
+    return _solve(design, values[..., lags:], errors).residuals
 
 
 def dememorize(series: Series, lags: int = 2) -> Series:
@@ -395,18 +413,29 @@ def dememorize(series: Series, lags: int = 2) -> Series:
     Raises:
         Underdetermined: if the series is too short or has zero variance.
     """
-    if lags < 1:
-        raise InvalidSpec("lags must be >= 1")
-    y = series.values
-    n = len(y)
-    if n <= lags + 2:
-        raise Underdetermined(f"dememorize with {lags} lags needs more than {lags + 2} points")
-    if np.var(y) <= 1e-15 * max(1.0, float(np.mean(y**2))):
-        raise Underdetermined("series has zero variance")
-    rows = np.arange(lags, n)
-    design = np.column_stack([np.ones(len(rows))] + [y[rows - k] for k in range(1, lags + 1)])
-    solution = least_squares(design, y[rows])
-    return Series(values=solution.residuals, label=series.label)
+    return Series(values=_dememorize_rows(series.values, lags, _RAISE), label=series.label)
+
+
+def _corrected_rows(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, errors) -> tuple:
+    """corrected_correlation for each row: (x_clean, y_clean, rho, p)."""
+    if x.shape[-1] <= cfg.trend_degree + cfg.lag_count + 3:
+        errors.stop(Underdetermined, "too few observations for the configured trend degree and lags")
+    x_clean = _dememorize_rows(_detrend_rows(x, cfg.trend_degree, errors), cfg.lag_count, errors)
+    y_clean = _dememorize_rows(_detrend_rows(y, cfg.trend_degree, errors), cfg.lag_count, errors)
+    df = x_clean.shape[-1] - 2
+    if df < 1:
+        errors.stop(Underdetermined, "not enough effective observations for a correlation test")
+    zero_variance = (Underdetermined, "a corrected series has zero variance")
+    return (x_clean, y_clean) + _correlation_test(x_clean, y_clean, df, errors, zero_variance)
+
+
+def _corrected(x: Series, y: Series, cfg: BatteryConfig) -> tuple:
+    """corrected_correlation, plus the cleaned series it correlates."""
+    if len(x) != len(y):
+        raise MismatchedInputs(f"series lengths differ: {len(x)} vs {len(y)}")
+    x_clean, y_clean, rho, p = _corrected_rows(x.values, y.values, cfg, _RAISE)
+    corrected = CorrectedCorrelation(rho=float(rho), p_value=float(p), n_effective=len(x_clean))
+    return corrected, Series(x_clean, x.label), Series(y_clean, y.label)
 
 
 def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConfig()) -> CorrectedCorrelation:
@@ -417,25 +446,7 @@ def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConf
     `lag_count` lags. The correlation of what remains is tested against
     zero with a Student-t statistic on n_effective - 2 degrees of freedom.
     """
-    if len(x) != len(y):
-        raise MismatchedInputs(f"series lengths differ: {len(x)} vs {len(y)}")
-    if len(x) <= cfg.trend_degree + cfg.lag_count + 3:
-        raise Underdetermined("too few observations for the configured trend degree and lags")
-    x_clean = dememorize(detrend(x, cfg.trend_degree), cfg.lag_count)
-    y_clean = dememorize(detrend(y, cfg.trend_degree), cfg.lag_count)
-    n_eff = len(x_clean)
-    df = n_eff - 2
-    if df < 1:
-        raise Underdetermined("not enough effective observations for a correlation test")
-    moments = sample_moments(np.column_stack([x_clean.values, y_clean.values]))
-    rho = float(moments.corr[0, 1])
-    if not np.isfinite(rho):
-        raise Underdetermined("a corrected series has zero variance")
-    if abs(rho) >= 1.0:
-        return CorrectedCorrelation(rho=rho, p_value=0.0, n_effective=n_eff)
-    t = rho * np.sqrt(df / (1.0 - rho * rho))
-    p = tail_prob(StudentT(df), t, "two")
-    return CorrectedCorrelation(rho=rho, p_value=float(p), n_effective=n_eff)
+    return _corrected(x, y, cfg)[0]
 
 
 def _untested_report(source: str, degenerate: bool) -> MisspecReport:
@@ -453,7 +464,8 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
     """Run every applicable check against a fit and collect the verdict.
 
     Checks that cannot run on the given data (too few rows, missing
-    orderings, degenerate groups) leave their assumption marked untested.
+    orderings, degenerate groups, auxiliary designs too ill-conditioned to
+    solve) leave their assumption marked untested.
     A degenerate base fit short-circuits: every assumption is untested and
     the report carries the degenerate flag.
     """
@@ -493,14 +505,14 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         aux = linearity_check(data, base, alpha=alpha)
         evidence.append(("linearity", aux))
         record(lin_label, aux.joint_p)
-    except (InvalidSpec, Underdetermined, DegenerateData):
+    except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
         pass
 
     ran_grouped_variance = False
     for name in group_orderings:
         try:
             check = homoskedasticity_check(data, base, ordering=name, alpha=alpha)
-        except (InvalidSpec, GroupTooSmall, Underdetermined, DegenerateData):
+        except (InvalidSpec, GroupTooSmall, Underdetermined, RankDeficient, DegenerateData):
             continue
         evidence.append((f"variance-ratio({name})", check))
         record(hom_label, check.p)
@@ -510,7 +522,7 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
             check = homoskedasticity_check(data, base, alpha=alpha)
             evidence.append(("variance-regression", check))
             record(hom_label, check.p)
-        except (InvalidSpec, Underdetermined, DegenerateData):
+        except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
             pass
 
     if time_orderings:
@@ -519,13 +531,13 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
             evidence.append(("trend-lag", aux))
             record(indep_label, aux.joint_p)
             record(invar_label, aux.joint_p)
-        except (InvalidSpec, Underdetermined, DegenerateData):
+        except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
             pass
 
     for name in group_orderings:
         try:
             aux = ordering_shift_test(data, base, name)
-        except (InvalidSpec, GroupTooSmall, Underdetermined, DegenerateData):
+        except (InvalidSpec, GroupTooSmall, Underdetermined, RankDeficient, DegenerateData):
             continue
         evidence.append((f"ordering-shift({name})", aux))
         record(invar_label, aux.joint_p)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core_stats
-from .core_stats import StudentT, least_squares, tail_prob
+from .core_stats import _RAISE, _t_test_p, least_squares
 from .errors import (
     EmptyData,
     GroupTooSmall,
@@ -283,42 +282,48 @@ class FitResult:
             raise UnknownColumn(f"no fitted term named {term_name!r}") from None
 
 
+def _coefficient_p(diff, se, df: int, errors) -> tuple:
+    """Stacked t-statistics diff / se and their two-sided p-values; a zero
+    se gives (0, p = 1) where diff is zero and (+-inf, p = 0) elsewhere."""
+    zero = se == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(zero, np.where(diff == 0, 0.0, np.inf * np.sign(diff)), diff / se)
+    p = np.where(zero, np.where(diff == 0, 1.0, 0.0), _t_test_p(stat, df, ~zero, errors))
+    return stat, p
+
+
+def _inference(y, solution, include_intercept: bool, errors) -> tuple:
+    """(degenerate, s, std_errors, t_ratios, p_values, r2) of stacked fits
+    of y, one per leading index. A degenerate fit, whose residuals are
+    numerically zero-variance, reports s = 0 and zero standard errors."""
+    coefficients, residuals = solution.coefficients, solution.residuals
+    n, p = residuals.shape[-1], coefficients.shape[-1]
+    rss = np.einsum("...i,...i->...", residuals, residuals)
+    yy = np.einsum("...i,...i->...", y, y)
+    tss = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1) if include_intercept else yy
+    scale = np.maximum(np.maximum(tss, yy), 1.0)
+    degenerate = (rss <= _DEGENERATE_RTOL * scale) | (residuals.var(axis=-1) <= _DEGENERATE_RTOL * scale / max(n, 1))
+    s2 = np.where(degenerate, 0.0, rss / (n - p))
+    std_errors = np.sqrt(s2[..., None] * np.diagonal(solution.xtx_inverse, axis1=-2, axis2=-1))
+    t_ratios, p_values = _coefficient_p(coefficients, std_errors, n - p, errors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(degenerate | (tss <= 0), 1.0, 1.0 - rss / tss)
+    return degenerate, np.sqrt(s2), std_errors, t_ratios, p_values, r2
+
+
 def _summarize(spec, info, solution) -> FitResult:
-    X, y = info.matrix, info.response
-    n, p = X.shape
-    coef = solution.coefficients
-    rss = solution.rss
-    if spec.include_intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
-    scale = max(tss, float(y @ y), 1.0)
-    degenerate = rss <= _DEGENERATE_RTOL * scale or np.var(solution.residuals) <= _DEGENERATE_RTOL * scale / max(n, 1)
-    if degenerate:
-        s = 0.0
-        std_errors = np.zeros(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ratios = np.where(coef == 0, 0.0, np.inf * np.sign(coef))
-        p_values = np.where(coef == 0, 1.0, 0.0)
-        r2 = 1.0
-    else:
-        s2 = rss / (n - p)
-        s = float(np.sqrt(s2))
-        std_errors = np.sqrt(s2 * np.diag(solution.xtx_inverse))
-        t_ratios = coef / std_errors
-        df = n - p
-        p_values = np.array([tail_prob(StudentT(df), t, "two") for t in t_ratios])
-        r2 = 1.0 - rss / tss if tss > 0 else 1.0
+    y = info.response
+    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solution, spec.include_intercept, _RAISE)
     return FitResult(
         spec=spec,
         term_names=info.term_names,
-        coefficients=coef,
+        coefficients=solution.coefficients,
         std_errors=std_errors,
-        t_ratios=np.asarray(t_ratios, dtype=float),
-        p_values=np.asarray(p_values, dtype=float),
+        t_ratios=t_ratios,
+        p_values=p_values,
         r2=float(r2),
-        s=s,
-        n_used=n,
+        s=float(s),
+        n_used=len(y),
         residuals=solution.residuals,
         condition_estimate=solution.condition_estimate,
         degenerate=bool(degenerate),
@@ -326,11 +331,16 @@ def _summarize(spec, info, solution) -> FitResult:
     )
 
 
-def fit(data: Dataset, spec: ModelSpec, cond_max: float = core_stats.COND_MAX) -> FitResult:
-    """Fit the model by least squares and summarize the estimates."""
+def _fit(data: Dataset, spec: ModelSpec) -> tuple:
+    """fit, plus the least-squares solution behind it."""
     info = design_matrix(data, spec)
-    solution = least_squares(info.matrix, info.response, cond_max=cond_max)
-    return _summarize(spec, info, solution)
+    solution = least_squares(info.matrix, info.response)
+    return _summarize(spec, info, solution), solution
+
+
+def fit(data: Dataset, spec: ModelSpec) -> FitResult:
+    """Fit the model by least squares and summarize the estimates."""
+    return _fit(data, spec)[0]
 
 
 def subset_fit(data: Dataset, spec: ModelSpec, ordering: str, group) -> FitResult:
@@ -377,11 +387,5 @@ def coefficient_test(
         raise IndexOutOfRange(f"coefficient index {index} out of range")
     df = result.n_used - len(result.coefficients)
     diff = result.coefficients[index] - null_value
-    se = result.std_errors[index]
-    if se == 0:
-        stat = 0.0 if diff == 0 else float(np.inf * np.sign(diff))
-        p = 1.0 if diff == 0 else 0.0
-    else:
-        stat = float(diff / se)
-        p = tail_prob(StudentT(df), stat, "two")
-    return CoefficientTest(stat=stat, p_value=float(p), df=df, reject=bool(p < alpha))
+    stat, p = _coefficient_p(diff, result.std_errors[index], df, _RAISE)
+    return CoefficientTest(stat=float(stat), p_value=float(p), df=df, reject=bool(p < alpha))

@@ -8,8 +8,11 @@ aggregate error rate independent of how the work is split up.
 A Monte Carlo study generates and tests its replications in blocks of 256,
 held as stacked arrays with one row per replication, and runs the blocks
 one after another on the calling thread. Each row is exactly the dataset
-the replication's own stream gives, and each row fails with the error the
-per-dataset functions would raise for it.
+the replication's own stream gives. The tests run the same stacked code as
+the per-dataset functions (`regression.fit` and `coefficient_test`,
+`naive_correlation_test`, `misspec.corrected_correlation`), which are its
+batch-of-one case, so each row gets the same decision and fails with the
+same error as its dataset tested on its own.
 
 Four generators are provided:
 
@@ -29,19 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import misspec
-from .core_stats import COND_MAX, StudentT, sample_moments, student_t_two_sided_p, tail_prob
-from .errors import (
-    GenerationFailed,
-    InvalidDegreesOfFreedom,
-    InvalidSpec,
-    NonFiniteInput,
-    RankDeficient,
-    Underdetermined,
-    UnknownColumn,
-)
+from . import misspec, regression
+from .core_stats import _RAISE, _as_finite_array, _correlation_test, _solve, sample_moments
+from .errors import GenerationFailed, InvalidSpec, NonFiniteInput, UnknownColumn
 from .parameterization import JointMoments
-from .regression import _DEGENERATE_RTOL, Dataset, ModelSpec, OrderingVariable
+from .regression import Dataset, ModelSpec, OrderingVariable
 
 # Trend coefficients (constant first) and noise settings that mimic the
 # classic marriage-ratio / mortality pair: both series drift downward over
@@ -311,17 +306,16 @@ class MonteCarloResult:
     alpha: float
 
 
+def _naive_rows(x: np.ndarray, y: np.ndarray, errors) -> tuple:
+    """naive_correlation_test for each row of x and y: (rho, p)."""
+    return _correlation_test(x, y, x.shape[-1] - 2, errors, (InvalidSpec, "a column has zero variance"))
+
+
 def naive_correlation_test(x: np.ndarray, y: np.ndarray) -> tuple:
     """Correlation of two raw columns and its two-sided t-test p-value."""
-    moments = sample_moments(np.column_stack([x, y]))
-    rho = float(moments.corr[0, 1])
-    n = moments.n
-    if not np.isfinite(rho):
-        raise InvalidSpec("a column has zero variance")
-    if abs(rho) >= 1.0:
-        return rho, 0.0
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return rho, tail_prob(StudentT(n - 2), t, "two")
+    data = _as_finite_array(np.column_stack([x, y]), "data")
+    rho, p = _naive_rows(data[:, 0], data[:, 1], _RAISE)
+    return float(rho), float(p)
 
 
 # Replications generated and tested together; bounds the stacked arrays'
@@ -342,9 +336,11 @@ class _FirstError:
         self.row = None
         self.error = None
 
-    def flag(self, bad: np.ndarray, error: type, message: str) -> None:
-        """Record `error` for the rows where `bad` holds."""
-        rows = np.flatnonzero(bad)
+    def flag(self, bad, error: type, message: str) -> None:
+        """Record `error` for the rows where `bad` holds: rows run along its
+        first axis, and a row fails if any of its entries does."""
+        bad = np.asarray(bad)
+        rows = np.flatnonzero(bad.reshape(bad.shape[:1] + (-1,)).any(axis=-1))
         if rows.size and (self.row is None or rows[0] < self.row):
             self.row = int(rows[0])
             self.error = error(f"replication {self.start + self.row}: {message}")
@@ -352,7 +348,7 @@ class _FirstError:
     def stop(self, error: type, message: str) -> None:
         """Raise a check that every replication fails: the block's first
         replication meets it, unless that one failed an earlier check."""
-        self.flag(np.ones(1, dtype=bool), error, message)
+        self.flag(True, error, message)
         self.raise_first()
 
     def raise_first(self) -> None:
@@ -366,132 +362,33 @@ def _column(columns: dict, name: str, errors: _FirstError) -> np.ndarray:
     return columns[name]
 
 
-def _least_squares_rows(design: np.ndarray, response: np.ndarray, errors: _FirstError) -> tuple:
-    """core_stats.least_squares for each row: (coefficients, residuals, R).
-
-    design is (rows, n, p), or (1, n, p) for a design every row shares, in
-    which case a rank failure is replication 0's. Rows least_squares would
-    reject as rank deficient are flagged and solved with an identity R, so
-    their numbers are meaningless but never stop the stacked solve.
-    """
-    q, r = np.linalg.qr(design)
-    sv = np.linalg.svd(r, compute_uv=False)
-    cond = sv[:, 0] / sv[:, -1]
-    singular = sv[:, -1] <= 0
-    ill = cond > COND_MAX
-    errors.flag(singular, RankDeficient, "design matrix is exactly rank deficient")
-    estimate = cond[ill.argmax()]  # the first ill-conditioned row's
-    errors.flag(ill, RankDeficient, f"design condition estimate {estimate:.3e} exceeds {COND_MAX:.1e}")
-    r = np.where((singular | ill)[:, None, None], np.eye(r.shape[-1]), r)
-    coefficients = np.linalg.solve(r, q.transpose(0, 2, 1) @ response[:, :, None])
-    residuals = response - (design @ coefficients)[:, :, 0]
-    return coefficients[:, :, 0], residuals, r
-
-
-def _t_rejections(t: np.ndarray, df: int, alpha: float, tested: np.ndarray, errors: _FirstError) -> np.ndarray:
-    """Rows of `tested` where tail_prob(StudentT(df), t, "two") < alpha."""
-    errors.flag(tested & ~np.isfinite(t), NonFiniteInput, "test statistic must be finite")
-    if df < 1:
-        errors.flag(tested, InvalidDegreesOfFreedom, f"degrees of freedom {df!r} must be >= 1")
-    return tested & (student_t_two_sided_p(t, df) < alpha)
-
-
-def _row_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sample_moments(column_stack([x, y])).corr[0, 1] of every row: NaN
-    where either series has zero variance."""
-    n = x.shape[1]
-    cx = x - x.mean(axis=1, keepdims=True)
-    cy = y - y.mean(axis=1, keepdims=True)
-    cov = np.einsum("ij,ij->i", cx, cy) / n
-    sd_x = np.sqrt(np.einsum("ij,ij->i", cx, cx) / n)
-    sd_y = np.sqrt(np.einsum("ij,ij->i", cy, cy) / n)
-    rho = np.where((sd_x > 0) & (sd_y > 0), cov / (sd_x * sd_y), np.nan)
-    return np.clip(rho, -1.0, 1.0)
-
-
-def _correlation_rejections(rho: np.ndarray, df: int, alpha: float, errors: _FirstError) -> np.ndarray:
-    """The t-test of zero correlation that naive_correlation_test and
-    misspec.corrected_correlation apply; |rho| >= 1 has p = 0."""
-    perfect = np.abs(rho) >= 1.0
-    t = rho * np.sqrt(df / (1.0 - rho * rho))
-    return perfect | _t_rejections(t, df, alpha, np.isfinite(rho) & ~perfect, errors)
-
-
 def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
-    # regression.fit: design_matrix, least_squares, _summarize.
+    # regression.fit, FitResult.index_of, then regression.coefficient_test.
     spec = ModelSpec(response=test.response, regressors=test.regressors)
     regressors = [_column(columns, name, errors) for name in spec.regressors]
     y = _column(columns, spec.response, errors)
-    design = np.stack([np.ones_like(y), *regressors], axis=-1)
-    n, p = design.shape[1:]
-    if n <= p:
-        errors.stop(Underdetermined, f"{n} observations cannot identify {p} parameters")
-    coefficients, residuals, r = _least_squares_rows(design, y, errors)
-    rss = np.einsum("ij,ij->i", residuals, residuals)
-    tss = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    scale = np.maximum(np.maximum(tss, np.einsum("ij,ij->i", y, y)), 1.0)
-    degenerate = (rss <= _DEGENERATE_RTOL * scale) | (residuals.var(axis=1) <= _DEGENERATE_RTOL * scale / n)
-    r_inv = np.linalg.inv(r)
-    std_errors = np.sqrt((rss / (n - p))[:, None] * np.sum(r_inv * r_inv, axis=2))
-    std_errors[degenerate] = 0.0
-    t_ratios = coefficients / std_errors
-    errors.flag(~degenerate & ~np.isfinite(t_ratios).all(axis=1), NonFiniteInput, "test statistic must be finite")
-
-    # FitResult.index_of, then regression.coefficient_test.
+    solves = _solve(np.stack([np.ones_like(y), *regressors], axis=-1), y, errors)
+    std_errors = regression._inference(y, solves, spec.include_intercept, errors)[2]
     terms = ("intercept",) + spec.regressors
     if test.target not in terms:
         errors.stop(UnknownColumn, f"no fitted term named {test.target!r}")
     index = terms.index(test.target)
-    diff = coefficients[:, index] - test.null_value
-    se = std_errors[:, index]
-    zero_se = se == 0
-    # A zero standard error gives p = 0 (reject) unless the estimate sits
-    # exactly on the null value, where p = 1.
-    return np.where(zero_se, diff != 0, _t_rejections(diff / se, n - p, alpha, ~zero_se, errors))
+    diff = solves.coefficients[:, index] - test.null_value
+    _, p = regression._coefficient_p(diff, std_errors[:, index], y.shape[1] - len(terms), errors)
+    return p < alpha
 
 
 def _naive_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
-    # naive_correlation_test.
     x = _column(columns, test.x, errors)
     y = _column(columns, test.y, errors)
-    rho = _row_correlations(x, y)
-    errors.flag(~np.isfinite(rho), InvalidSpec, "a column has zero variance")
-    return _correlation_rejections(rho, x.shape[1] - 2, alpha, errors)
-
-
-def _detrend_rows(values: np.ndarray, degree: int, errors: _FirstError) -> np.ndarray:
-    # misspec.detrend: one QR of the trend design every row shares.
-    n = values.shape[1]
-    s = np.arange(1, n + 1) / n
-    design = np.column_stack([np.ones(n)] + [s**k for k in range(1, degree + 1)])
-    return _least_squares_rows(design[None], values, errors)[1]
-
-
-def _dememorize_rows(values: np.ndarray, lags: int, errors: _FirstError) -> np.ndarray:
-    # misspec.dememorize: a stacked QR of each row's own-lag design.
-    n = values.shape[1]
-    flat = values.var(axis=1) <= 1e-15 * np.maximum(1.0, np.mean(values**2, axis=1))
-    errors.flag(flat, Underdetermined, "series has zero variance")
-    if n - lags <= 1 + lags:
-        errors.stop(Underdetermined, f"{n - lags} observations cannot identify {1 + lags} parameters")
-    lagged = [values[:, lags - k : n - k] for k in range(1, lags + 1)]
-    design = np.stack([np.ones_like(lagged[0]), *lagged], axis=-1)
-    return _least_squares_rows(design, values[:, lags:], errors)[1]
+    return _naive_rows(x, y, errors)[1] < alpha
 
 
 def _corrected_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
-    # misspec.corrected_correlation.
     cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
     x = _column(columns, test.x, errors)
     y = _column(columns, test.y, errors)
-    n = x.shape[1]
-    if n <= cfg.trend_degree + cfg.lag_count + 3:
-        errors.stop(Underdetermined, "too few observations for the configured trend degree and lags")
-    x_clean = _dememorize_rows(_detrend_rows(x, cfg.trend_degree, errors), cfg.lag_count, errors)
-    y_clean = _dememorize_rows(_detrend_rows(y, cfg.trend_degree, errors), cfg.lag_count, errors)
-    rho = _row_correlations(x_clean, y_clean)
-    errors.flag(~np.isfinite(rho), Underdetermined, "a corrected series has zero variance")
-    return _correlation_rejections(rho, n - cfg.lag_count - 2, alpha, errors)
+    return misspec._corrected_rows(x, y, cfg, errors)[3] < alpha
 
 
 _REJECTIONS = {

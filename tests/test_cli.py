@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from revcheck import cli
+from revcheck import cli, misspec
 from revcheck.fixtures import fixture_path
 
 
@@ -127,6 +128,27 @@ def test_analyze_regression_corrected_correlation(trending_csv, capsys):
     assert "detrended (degree 3) and dememorized (2 lags) both series" in out
 
 
+def test_corrected_analysis_cleans_each_series_once(trending_csv, capsys, monkeypatch):
+    # The cleaned series feed both the corrected correlation and the
+    # conditional battery; each series is detrended and dememorized once.
+    calls = {"_detrend_rows": 0, "_dememorize_rows": 0}
+    for name in calls:
+        original = getattr(misspec, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(misspec, name, counting)
+    code, _, _ = run(
+        ["analyze-regression", trending_csv, "--response", "y", "--regressors", "x",
+         "--ordering", "t:time"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == {"_detrend_rows": 2, "_dememorize_rows": 2}
+
+
 def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
     code, _, err = run(
         ["analyze-regression", trending_csv, "--response", "nope", "--regressors", "x",
@@ -156,6 +178,31 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
         ["analyze-regression", ragged, "--response", "y", "--regressors", "x"], capsys
     )
     assert code == 2 and "row 3" in err
+
+
+def test_analyze_regression_time_like_regressor(tmp_path, capsys):
+    # year runs with time (one year skipped), so the squared-regressor and
+    # variance designs are too ill-conditioned to solve: those checks are
+    # untested instead of aborting the analysis.
+    rng = np.random.default_rng(0)
+    t = np.arange(1, 47)
+    year = 1900 + t + (t > 23)
+    y = 0.3 * t + rng.standard_normal(46)
+    path = write_csv(
+        tmp_path / "year.csv",
+        "t,year,y\n" + "".join(f"{a},{b},{float(c)!r}\n" for a, b, c in zip(t, year, y)),
+    )
+    code, out, err = run(
+        ["--output", "json", "analyze-regression", path, "--response", "y", "--regressors", "year",
+         "--ordering", "t:time"],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    marginal = payload["assumptions"]["marginal"]
+    assert marginal["[2] linearity"] == {"p_value": None, "status": "untested"}
+    assert marginal["[3] homoskedasticity"] == {"p_value": None, "status": "untested"}
+    assert payload["verdict"] != "Case1Trustworthy"
 
 
 def test_degenerate_data_exit_code(tmp_path, capsys):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from revcheck.core_stats import (
+    _RAISE,
     ChiSquare,
     FisherF,
     Normal,
     Series,
     StudentT,
+    _solve,
     least_squares,
     sample_moments,
     student_t_two_sided_p,
@@ -130,6 +132,80 @@ def test_least_squares_error_paths():
         least_squares(np.column_stack([x, x]), np.zeros(10))
     with pytest.raises(MismatchedInputs):
         least_squares(np.ones((5, 1)), np.zeros(4))
+
+
+class RecordingSink:
+    """An error sink that keeps every flagged check instead of raising."""
+
+    def __init__(self):
+        self.flags = []
+
+    def flag(self, bad, error, message):
+        self.flags.append((np.asarray(bad).copy(), error, message))
+
+    def stop(self, error, message):
+        raise error(message)
+
+
+def lstsq_rows(design, response):
+    """Per-row numpy.linalg.lstsq coefficients and residuals."""
+    design = np.broadcast_to(design, response.shape[:1] + design.shape[-2:])
+    coefficients = np.array([np.linalg.lstsq(X, y, rcond=None)[0] for X, y in zip(design, response)])
+    residuals = response - np.einsum("rij,rj->ri", design, coefficients)
+    return coefficients, residuals
+
+
+@pytest.mark.parametrize("shared", ["none", "leading-1", "no-leading-axis"])
+def test_stacked_least_squares_matches_lstsq(shared):
+    rng = np.random.default_rng(71)
+    rows, n, p = 7, 25, 4
+    design = rng.standard_normal((rows, n, p))
+    if shared == "leading-1":
+        design = design[:1]
+    elif shared == "no-leading-axis":
+        design = design[0]
+    response = rng.standard_normal((rows, n))
+    solves = _solve(design, response, _RAISE)
+    coefficients, residuals = lstsq_rows(design, response)
+    assert solves.coefficients.shape == (rows, p)
+    assert np.allclose(solves.coefficients, coefficients, rtol=1e-10, atol=1e-12)
+    assert np.allclose(solves.residuals, residuals, rtol=1e-10, atol=1e-12)
+    # R is the design's triangular factor and Q'y its rotated response.
+    full = np.broadcast_to(design, (rows, n, p))
+    assert np.allclose(np.swapaxes(solves.r, -1, -2) @ solves.r, np.swapaxes(full, -1, -2) @ full)
+    assert np.allclose(np.einsum("...ij,...j->...i", solves.r, solves.coefficients), solves.qty)
+    assert not solves.singular.any() and not solves.ill_conditioned.any()
+    # least_squares is the batch-of-one case.
+    single = least_squares(full[3], response[3])
+    assert np.allclose(single.coefficients, solves.coefficients[3], rtol=1e-12, atol=1e-14)
+    assert math.isclose(single.rss, float(residuals[3] @ residuals[3]), rel_tol=1e-10)
+
+
+def test_stacked_least_squares_flags_rank_deficient_rows():
+    rng = np.random.default_rng(72)
+    n = 30
+    x = rng.standard_normal(n)
+    good = np.column_stack([np.ones(n), x])
+    singular = np.column_stack([np.ones(n), np.zeros(n)])
+    ill = np.column_stack([x, x + 1e-12 * rng.standard_normal(n)])
+    design = np.stack([good, singular, good, ill])
+    response = rng.standard_normal((4, n))
+    sink = RecordingSink()
+    solves = _solve(design, response, sink)
+    assert solves.singular.tolist() == [False, True, False, False]
+    assert solves.ill_conditioned.tolist() == [False, False, False, True]
+    assert solves.condition[3] > 1e10
+    assert [(bad.tolist(), error) for bad, error, _ in sink.flags] == [
+        ([False, True, False, False], RankDeficient),
+        ([False, False, False, True], RankDeficient),
+    ]
+    assert sink.flags[0][2] == "design matrix is exactly rank deficient"
+    assert sink.flags[1][2] == f"design condition estimate {solves.condition[3]:.3e} exceeds 1.0e+10"
+    # Flagged rows never stop the others.
+    coefficients, _ = lstsq_rows(design[[0, 2]], response[[0, 2]])
+    assert np.allclose(solves.coefficients[[0, 2]], coefficients, rtol=1e-10)
+    with pytest.raises(RankDeficient, match="exceeds"):
+        least_squares(ill, response[3])
 
 
 # Frozen tail probabilities, computed by numerical quadrature of the

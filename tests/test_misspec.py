@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import revcheck
 from revcheck import misspec
@@ -231,6 +232,81 @@ def test_linearity_f_matches_classical_added_variable_oracle():
         data.column("y"), [data.column("x")], [data.column("x") ** 2]
     )
     assert math.isclose(aux.joint_f_stat, oracle, rel_tol=1e-9)
+
+
+def _lstsq_rss(columns, y):
+    design = np.column_stack([np.ones(len(y))] + list(columns))
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return float(resid @ resid), design.shape[1]
+
+
+def _aux_f_by_two_fits(u, base_cols, added_cols):
+    """The added block's F from separate full and restricted lstsq fits."""
+    rss_r, _ = _lstsq_rss(base_cols, u)
+    rss_f, p = _lstsq_rss(list(base_cols) + list(added_cols), u)
+    q = len(added_cols)
+    df = len(u) - p
+    f = ((rss_r - rss_f) / q) / (rss_f / df)
+    return f, float(stats.f.sf(f, q, df))
+
+
+def _nested_case(design: str):
+    """(statistic, p) from revcheck, and from two separate fits, for one
+    auxiliary regression."""
+    rng = np.random.default_rng(54)
+    n = 90
+    x = rng.standard_normal(n)
+    y = 1.0 + 0.5 * x + 0.3 * x**2 + np.sqrt(0.5 + x**2) * rng.standard_normal(n)
+    g = np.repeat([1.0, 0.0], n // 2)
+    data = Dataset(
+        columns={"y": y, "x": x},
+        orderings={
+            "t": OrderingVariable("t", "time", np.arange(1.0, n + 1.0)),
+            "g": OrderingVariable("g", "binary_group", g),
+        },
+    )
+    base = fit(data, SPEC)
+    u = base.residuals
+    if design == "linearity":
+        aux = linearity_check(data, base)
+        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u, [x], [x**2])
+    if design == "shift":
+        aux = ordering_shift_test(data, base, "g")
+        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u, [x], [g])
+    if design == "trend-lag":
+        aux = auxiliary_trend_lag_test(data, base, BatteryConfig())
+        rows = np.arange(2, n)
+        s = np.arange(1, n - 1) / (n - 2)
+        added = [s, s**2, y[rows - 1], y[rows - 2], x[rows - 1], x[rows - 2]]
+        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u[rows], [x[rows]], added)
+    check = homoskedasticity_check(data, base)
+    return (check.stat, check.p), _aux_f_by_two_fits(u**2, [], [x, x**2])
+
+
+@pytest.mark.parametrize("design", ["linearity", "shift", "trend-lag", "variance-regression"])
+def test_nested_rss_matches_a_separate_restricted_fit(design):
+    # The restricted RSS comes from the full fit's factor; refitting the
+    # restricted design on its own must give the same F and p.
+    (f, p), (f_oracle, p_oracle) = _nested_case(design)
+    assert math.isclose(f, f_oracle, rel_tol=1e-9)
+    assert math.isclose(p, p_oracle, rel_tol=1e-9)
+
+
+def test_run_battery_leaves_ill_conditioned_checks_untested():
+    # A time-like regressor (year = 1900 + t): its square, its lags and the
+    # trend columns make the auxiliary designs too ill-conditioned to solve.
+    t = np.arange(1.0, 47.0)
+    rng = np.random.default_rng(3)
+    data = Dataset(
+        columns={"year": 1900.0 + t, "y": 0.3 * t + rng.standard_normal(46)},
+        orderings={"t": OrderingVariable("t", "time", t)},
+    )
+    report = run_battery(data, fit(data, ModelSpec(response="y", regressors=("year",))), BatteryConfig())
+    assert report.per_assumption["[1] normality"] == PASS
+    for label in misspec.ASSUMPTIONS[1:]:
+        assert report.per_assumption[label] == UNTESTED
+        assert report.p_values[label] is None
 
 
 def test_run_battery_clean_data_all_pass():

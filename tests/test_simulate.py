@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from revcheck import core_stats, misspec, regression, simulate
 from revcheck.core_stats import Series, StudentT, sample_moments, tail_prob
@@ -207,9 +208,47 @@ def test_generated_streams_are_pinned():
     )
 
 
+def _lstsq_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+
+
 def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: int, alpha: float = 0.05) -> list:
-    """Each replication's decision, testing one generated dataset at a time
-    through the public per-dataset functions."""
+    """Each replication's decision, computed apart from revcheck's fitting
+    and testing code: one generated dataset at a time, numpy.linalg.lstsq
+    for the fits and scipy.stats.t for the p-values."""
+    statistics = []
+    for r in range(replications):
+        columns = _generate_with_rng(kind, rng_for(seed, r)).columns
+        if test.kind == "coefficient":
+            y = columns[test.response]
+            design = np.column_stack([np.ones(len(y))] + [columns[name] for name in test.regressors])
+            coef = np.linalg.lstsq(design, y, rcond=None)[0]
+            resid = y - design @ coef
+            df = len(y) - design.shape[1]
+            index = 1 + test.regressors.index(test.target)
+            se = math.sqrt(float(resid @ resid) / df * np.linalg.inv(design.T @ design)[index, index])
+            statistics.append((coef[index] - test.null_value) / se)
+            continue
+        x, y = columns[test.x], columns[test.y]
+        if test.kind == "corrected_correlation":
+            n, lags = len(x), test.lag_count
+            s = np.arange(1, n + 1) / n
+            trend = np.column_stack([s**k for k in range(test.trend_degree + 1)])
+            cleaned = []
+            for v in (x, y):
+                v = _lstsq_residuals(trend, v)
+                lagged = np.column_stack([np.ones(n - lags)] + [v[lags - k : n - k] for k in range(1, lags + 1)])
+                cleaned.append(_lstsq_residuals(lagged, v[lags:]))
+            x, y = cleaned
+        rho = float(np.corrcoef(x, y)[0, 1])
+        df = len(x) - 2
+        statistics.append(rho * math.sqrt(df / (1.0 - rho * rho)))
+    p = 2.0 * stats.t.sf(np.abs(statistics), df)
+    return (p < alpha).tolist()
+
+
+def _per_dataset_decisions(kind, seed: int, test: TestDescriptor, replications: int, alpha: float = 0.05) -> list:
+    """Each replication's decision through the public per-dataset functions."""
     decisions = []
     for r in range(replications):
         data = _generate_with_rng(kind, rng_for(seed, r))
@@ -279,7 +318,7 @@ def test_batched_study_matches_per_dataset_reference(pairing, seed):
 )
 def test_batched_study_raises_what_the_per_dataset_path_raises(kind, test, error):
     with pytest.raises(error):
-        _reference_rejections(kind, 3, test, 1000)
+        _per_dataset_decisions(kind, 3, test, 1000)
     with pytest.raises(error):
         mc_error_rate(DgpSpec(kind, 3), test, replications=1000)
 
@@ -321,8 +360,17 @@ def test_block_errors_follow_the_first_failing_replication():
 
 
 def test_batched_study_makes_no_per_replication_calls(monkeypatch):
-    # Guards against a silent fallback to fitting one replication at a time.
-    originals = (core_stats.sample_moments, misspec.dememorize, regression.fit)
+    # Guards against a silent fallback to testing one replication at a time.
+    originals = (
+        core_stats.least_squares,
+        core_stats.sample_moments,
+        misspec.detrend,
+        misspec.dememorize,
+        misspec.corrected_correlation,
+        regression.fit,
+        regression.coefficient_test,
+        simulate.naive_correlation_test,
+    )
     watched = dict.fromkeys(originals, 0)
 
     def counting(func):
@@ -339,10 +387,16 @@ def test_batched_study_makes_no_per_replication_calls(monkeypatch):
                     monkeypatch.setattr(module, attr, counting(value))
 
     # The counters see calls made through any module's binding.
-    misspec.corrected_correlation(Series(np.arange(30.0) ** 1.5), Series(np.cos(np.arange(30.0))))
-    regression.fit(_generate_with_rng(_NIID, rng_for(0)), ModelSpec(response="y", regressors=("x1",)))
-    assert [watched[func] for func in originals] == [1, 2, 1]
+    x, y = Series(np.arange(30.0) ** 1.5), Series(np.cos(np.arange(30.0)))
+    result = regression.fit(_generate_with_rng(_NIID, rng_for(0)), ModelSpec(response="y", regressors=("x1",)))
+    regression.coefficient_test(result, 1)
+    misspec.corrected_correlation(x, y)
+    misspec.dememorize(misspec.detrend(x))
+    simulate.naive_correlation_test(x.values, y.values)
+    simulate.example3_generator()
+    assert all(count >= 1 for count in watched.values()), watched
     watched.update(dict.fromkeys(originals, 0))
-    result = mc_error_rate(DgpSpec(TrendingPair(), 4), TestDescriptor(kind="corrected_correlation"), replications=1000)
-    assert result.replications == 1000
-    assert [watched[func] for func in originals] == [0, 0, 0]
+    for pairing in ("trending-corrected", "trending-naive", "niid-coefficient"):
+        kind, test = _PAIRINGS[pairing]
+        assert mc_error_rate(DgpSpec(kind, 4), test, replications=1000).replications == 1000
+    assert all(count == 0 for count in watched.values()), watched
