@@ -34,15 +34,6 @@ from .errors import (
 _SYM_RTOL = 1e-9
 
 
-def _build_frozen(cls, **values):
-    """Instance of a frozen dataclass with a generated __init__, built
-    directly: that __init__ pays one object.__setattr__ call per field,
-    which dominates the cost of the small results returned here."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
-
-
 @dataclass(frozen=True, init=False)
 class JointMoments:
     """Mean vector and covariance matrix of (y, x1, x2).
@@ -81,7 +72,11 @@ class JointMoments:
         )
         if not (s00 > 0 and minor2 > 0 and det > 0):
             raise NonPositiveVariance("sigma must be positive definite")
-        self.__dict__.update(mu=mu, sigma=sigma)
+        # Item stores on the instance dict are the cheapest way past the
+        # frozen __setattr__; the results below are built the same way.
+        fields = self.__dict__
+        fields["mu"] = mu
+        fields["sigma"] = sigma
 
 
 @dataclass(frozen=True)
@@ -153,9 +148,13 @@ def derive_full_params(m: JointMoments) -> FullRegressionParams:
     beta2 = (s13 * s22 - s12 * s23) / d
     beta0 = mu1 - beta1 * mu2 - beta2 * mu3
     sigma_u2 = s11 - s12 * beta1 - s13 * beta2
-    return _build_frozen(
-        FullRegressionParams, beta0=beta0, beta1=beta1, beta2=beta2, sigma_u2=sigma_u2
-    )
+    params = object.__new__(FullRegressionParams)
+    fields = params.__dict__
+    fields["beta0"] = beta0
+    fields["beta1"] = beta1
+    fields["beta2"] = beta2
+    fields["sigma_u2"] = sigma_u2
+    return params
 
 
 def derive_full_params_matrix(m: JointMoments) -> FullRegressionParams:
@@ -234,7 +233,7 @@ def check_reversal_conditions(rho12: float, rho13: float, rho23: float) -> Rever
     """
     rho12, rho13, rho23 = float(rho12), float(rho13), float(rho23)
     # NaN fails every comparison, so one chained test covers finiteness too.
-    if not (abs(rho12) <= 1.0 and abs(rho13) <= 1.0 and abs(rho23) <= 1.0):
+    if not (-1.0 <= rho12 <= 1.0 and -1.0 <= rho13 <= 1.0 and -1.0 <= rho23 <= 1.0):
         for name, r in (("rho12", rho12), ("rho13", rho13), ("rho23", rho23)):
             if not abs(r) <= 1.0:
                 raise OutOfRangeCorrelation(f"{name}={r!r} is outside [-1, 1]")
@@ -243,17 +242,17 @@ def check_reversal_conditions(rho12: float, rho13: float, rho23: float) -> Rever
     product_exceeds = abs(product) > abs(rho12)
     corr_det = 1.0 - rho12**2 - rho13**2 - rho23**2 + 2.0 * rho12 * rho13 * rho23
     det_positive = corr_det > 0
-    return _build_frozen(
-        ReversalConditions,
-        rho12=rho12,
-        rho13=rho13,
-        rho23=rho23,
-        same_sign=same_sign,
-        product_exceeds=product_exceeds,
-        corr_det=corr_det,
-        det_positive=det_positive,
-        reversal_predicted=same_sign and product_exceeds and det_positive,
-    )
+    result = object.__new__(ReversalConditions)
+    fields = result.__dict__
+    fields["rho12"] = rho12
+    fields["rho13"] = rho13
+    fields["rho23"] = rho23
+    fields["same_sign"] = same_sign
+    fields["product_exceeds"] = product_exceeds
+    fields["corr_det"] = corr_det
+    fields["det_positive"] = det_positive
+    fields["reversal_predicted"] = same_sign and product_exceeds and det_positive
+    return result
 
 
 def joint_moments_from_correlations(
