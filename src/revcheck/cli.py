@@ -32,6 +32,7 @@ from .errors import (
     DegeneratePool,
     InvalidSpec,
     RevcheckError,
+    Underdetermined,
     UnknownColumn,
 )
 from .parameterization import (
@@ -252,7 +253,18 @@ def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: mi
     """Conditional side for a lone trending pair: the corrected correlation."""
     x = Series(data.column(regressor), regressor)
     y = Series(data.column(response), response)
-    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
+    try:
+        corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
+    except Underdetermined:
+        # Past the length check, detrending has run; name a series it flattened.
+        if len(x) > cfg.trend_degree + cfg.lag_count + 3:
+            for series in (x, y):
+                if misspec._flat(misspec.detrend(series, cfg.trend_degree).values):
+                    raise Underdetermined(
+                        f"detrending of degree {cfg.trend_degree} (--trend-degree) leaves {series.label!r} "
+                        "constant, so the corrected correlation cannot be computed"
+                    ) from None
+        raise
     source = "corrected correlation"
     n_eff = len(x_clean)
     clean = Dataset(

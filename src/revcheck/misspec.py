@@ -3,7 +3,10 @@
 The battery probes the five assumptions of the Normal linear regression
 model behind a fit:
 
-  [1] normality            residual skewness/kurtosis omnibus test
+  [1] normality            D'Agostino-Pearson K^2 skewness/kurtosis omnibus
+                           test (D'Agostino, Belanger & D'Agostino 1990,
+                           Am. Stat. 44:316; Anscombe & Glynn 1983,
+                           Biometrika 70:227)
   [2] linearity            squared-regressor auxiliary regression
   [3] homoskedasticity     variance-ratio F across groups, or a
                            squared-residual auxiliary regression
@@ -24,10 +27,10 @@ for spurious association.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core_stats import _RAISE, FisherF, Series, _correlation_test, _solve, tail_prob
 from .errors import (
@@ -283,12 +286,51 @@ def linearity_check(data: Dataset, base: FitResult, alpha: float = 0.05) -> Auxi
     return _added_terms_f(columns, resid_name, tuple(regressors), tuple(added))
 
 
+def _k2(u: np.ndarray) -> tuple:
+    """K^2 = Z_skew^2 + Z_kurt^2 of u and its chi^2(2) upper-tail p-value.
+
+    Each step is the one scipy.stats.normaltest takes, so the two agree to
+    rounding; where the kurtosis transform divides by zero, both are NaN.
+    """
+    n = np.asarray(float(u.size))
+    d = u - np.mean(u)
+    d2 = d**2
+    m2 = np.mean(d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.mean(d2 * d) / m2**1.5 * np.sqrt((n + 1) * (n + 3) / (6 * (n - 2)))
+        beta2 = 3 * (n**2 + 27 * n - 70) * (n + 1) * (n + 3) / ((n - 2) * (n + 5) * (n + 7) * (n + 9))
+        w2 = -1 + np.sqrt(2 * (beta2 - 1))
+        delta = 1 / np.sqrt(0.5 * np.log(w2))
+        alpha = np.sqrt(2 / (w2 - 1))
+        y = np.where(y == 0, 1.0, y)
+        z_skew = delta * np.log(y / alpha + np.sqrt((y / alpha) ** 2 + 1))
+
+        x = (np.mean(d2**2) / m2**2.0 - 3 * (n - 1) / (n + 1)) / (
+            24 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1) * (n + 3) * (n + 5))
+        ) ** 0.5
+        root_beta1 = (
+            6 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9)) * (6 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3))) ** 0.5
+        )
+        a = 6 + 8 / root_beta1 * (2 / root_beta1 + (1 + 4 / root_beta1**2) ** 0.5)
+        denom = 1 + x * (2 / (a - 4)) ** 0.5
+        cube_root = np.sign(denom) * np.where(denom == 0, np.nan, ((1 - 2 / a) / np.abs(denom)) ** (1 / 3))
+        z_kurt = (1 - 2 / (9 * a) - cube_root) / (2 / (9 * a)) ** 0.5
+    stat = z_skew * z_skew + z_kurt * z_kurt
+    return float(stat), float(special.chdtrc(2, stat))
+
+
 def normality_check(residuals, alpha: float = 0.05) -> CheckResult:
-    """Skewness/kurtosis omnibus test of residual normality (chi^2, 2 df).
+    """D'Agostino-Pearson K^2 omnibus test of residual normality (chi^2, 2 df).
+
+    Combines the skewness test of D'Agostino, Belanger & D'Agostino (1990,
+    The American Statistician 44:316) with the kurtosis test of Anscombe &
+    Glynn (1983, Biometrika 70:227). Where the kurtosis transform is
+    undefined, stat and p are NaN and the check fails.
 
     Raises:
+        MismatchedInputs: if the residuals are not one-dimensional.
         TooFewResiduals: if fewer than 8 residuals are supplied.
-        DegenerateData: if the residuals are numerically constant.
+        DegenerateData: if the residuals are non-finite or numerically constant.
     """
     u = np.asarray(residuals, dtype=float)
     if u.ndim != 1:
@@ -297,18 +339,10 @@ def normality_check(residuals, alpha: float = 0.05) -> CheckResult:
         raise TooFewResiduals(f"normality check needs n >= 8, got {u.size}")
     if not np.all(np.isfinite(u)):
         raise DegenerateData("residuals contain non-finite values")
-    if np.var(u) <= 1e-15 * max(1.0, float(np.mean(u**2))):
+    if _flat(u):
         raise DegenerateData("residuals are numerically constant")
-    # Imported here: scipy.stats loads hundreds of modules that nothing
-    # else in the package needs.
-    from scipy import stats as scipy_stats
-
-    with warnings.catch_warnings():
-        # scipy warns that the kurtosis approximation is rough below n=20;
-        # the pass/fail contract already tolerates that regime.
-        warnings.simplefilter("ignore")
-        stat, p = scipy_stats.normaltest(u)
-    return CheckResult(stat=float(stat), p=float(p), passed=bool(p >= alpha))
+    stat, p = _k2(u)
+    return CheckResult(stat=stat, p=p, passed=bool(p >= alpha))
 
 
 def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str, alpha: float) -> CheckResult:
@@ -369,6 +403,11 @@ def homoskedasticity_check(
     return _squared_residual_regression(data, base, alpha)
 
 
+def _flat(values: np.ndarray):
+    """Whether each row of values is numerically constant."""
+    return np.var(values, axis=-1) <= 1e-15 * np.maximum(1.0, np.mean(values**2, axis=-1))
+
+
 def _detrend_rows(values: np.ndarray, degree: int, errors) -> np.ndarray:
     """detrend of each row of values: one QR of the trend design they share."""
     if degree < 1:
@@ -397,8 +436,7 @@ def _dememorize_rows(values: np.ndarray, lags: int, errors) -> np.ndarray:
     n = values.shape[-1]
     if n <= lags + 2:
         errors.stop(Underdetermined, f"dememorize with {lags} lags needs more than {lags + 2} points")
-    flat = np.var(values, axis=-1) <= 1e-15 * np.maximum(1.0, np.mean(values**2, axis=-1))
-    errors.flag(flat, Underdetermined, "series has zero variance")
+    errors.flag(_flat(values), Underdetermined, "series has zero variance")
     lagged = [values[..., lags - k : n - k] for k in range(1, lags + 1)]
     design = np.stack([np.ones_like(lagged[0]), *lagged], axis=-1)
     return _solve(design, values[..., lags:], errors).residuals

@@ -205,6 +205,34 @@ def test_analyze_regression_time_like_regressor(tmp_path, capsys):
     assert payload["verdict"] != "Case1Trustworthy"
 
 
+@pytest.mark.parametrize("flat", ["x", "y"])
+def test_analyze_regression_series_detrended_to_constant(tmp_path, capsys, flat):
+    # A series that is an exact polynomial of degree <= --trend-degree in
+    # time has nothing left after detrending: the corrected correlation
+    # cannot be computed, and the message names that series.
+    rng = np.random.default_rng(0)
+    t = np.arange(1, 47)
+    columns = {"x": 0.3 * t + rng.standard_normal(46), "y": 0.5 * t + rng.standard_normal(46)}
+    columns[flat] = 1900.0 + t
+    rows = "".join(f"{a},{float(b)!r},{float(c)!r}\n" for a, b, c in zip(t, columns["x"], columns["y"]))
+    path = write_csv(tmp_path / "trend.csv", "t,x,y\n" + rows)
+    code, out, err = run(
+        ["analyze-regression", path, "--response", "y", "--regressors", "x", "--ordering", "t:time"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: detrending of degree 3 (--trend-degree) leaves {flat!r} constant, "
+        "so the corrected correlation cannot be computed\n"
+    )
+    code, _, err = run(
+        ["--trend-degree", "1", "analyze-regression", path, "--response", "y", "--regressors", "x",
+         "--ordering", "t:time"],
+        capsys,
+    )
+    assert code == 2 and f"degree 1 (--trend-degree) leaves {flat!r} constant" in err
+
+
 def test_degenerate_data_exit_code(tmp_path, capsys):
     exact = write_csv(
         tmp_path / "line.csv",

@@ -1,7 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy import stats
 import revcheck
 from revcheck import misspec
 from revcheck.core_stats import Series, StudentT, tail_prob
-from revcheck.errors import DegenerateData, TooFewResiduals, Underdetermined
+from revcheck.errors import DegenerateData, MismatchedInputs, TooFewResiduals, Underdetermined
 from revcheck.misspec import (
     FAIL,
     PASS,
@@ -130,10 +133,54 @@ def test_normality_check_behavior():
     rng = np.random.default_rng(12)
     assert normality_check(rng.standard_normal(500)).passed
     assert not normality_check(rng.exponential(size=500)).passed
-    with pytest.raises(TooFewResiduals):
+    with pytest.raises(MismatchedInputs, match="residuals must be one-dimensional"):
+        normality_check(np.ones((4, 4)))
+    with pytest.raises(TooFewResiduals, match="normality check needs n >= 8, got 7"):
         normality_check(np.arange(7.0))
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DegenerateData, match="residuals contain non-finite values"):
+        normality_check(np.r_[np.arange(9.0), np.nan])
+    with pytest.raises(DegenerateData, match="residuals are numerically constant"):
         normality_check(np.ones(50))
+
+
+NORMALITY_SHAPES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "exponential": lambda rng, n: rng.exponential(size=n),
+    "t3": lambda rng, n: rng.standard_t(3, size=n),
+    "uniform": lambda rng, n: rng.uniform(size=n),
+}
+
+NORMALITY_EDGE_SAMPLES = [
+    np.arange(9.0),  # zero skewness: the skew transform's y == 0 branch
+    np.tile([-1.0, 1.0], 100),  # kurtosis 1: the kurtosis transform's denominator is negative
+    np.r_[np.zeros(40), 1.0, 1.0, 1.0, 5.0, -3.0, 2.0],  # heavy tails, p far into the upper tail
+]
+
+
+def assert_matches_normaltest(u):
+    # rtol 1e-12 rather than equality: scipy's moment code has changed in
+    # the last bit across the releases pyproject.toml allows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # below n = 20 too, no warning may leak
+        check = normality_check(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns that kurtosistest is rough below n = 20
+        stat, p = stats.normaltest(u)
+    assert check.stat == pytest.approx(float(stat), rel=1e-12)
+    assert check.p == pytest.approx(float(p), rel=1e-12)
+    assert check.passed == (p >= 0.05)
+
+
+@pytest.mark.parametrize("shape", sorted(NORMALITY_SHAPES))
+@pytest.mark.parametrize("n", [8, 9, 19, 20, 46, 200, 5000])
+def test_normality_check_matches_scipy_normaltest(shape, n):
+    rng = np.random.default_rng(n)
+    assert_matches_normaltest(3.0 * NORMALITY_SHAPES[shape](rng, n) + 10.0)
+
+
+@pytest.mark.parametrize("u", NORMALITY_EDGE_SAMPLES, ids=["zero-skew", "negative-denom", "heavy-tails"])
+def test_normality_check_matches_scipy_on_edge_samples(u):
+    assert_matches_normaltest(u)
 
 
 def test_linearity_check_behavior():
@@ -368,12 +415,46 @@ def test_run_battery_respects_alpha():
     assert lax.overall_adequate
 
 
-def test_importing_revcheck_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second to import; only normality_check
-    # needs it, and loads it on first use.
+def test_importing_revcheck_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats loads hundreds of modules; no run-time code needs it, so
+    # neither importing revcheck nor running any command may load it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(revcheck.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, revcheck; print('scipy.stats' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        from revcheck import cli
+        from revcheck.fixtures import fixture_path
+
+        tmp = {str(tmp_path)!r}
+        runs = [
+            ["--seed", "1", "simulate", "trending", "--out", tmp + "/tr.csv"],
+            ["--seed", "1", "simulate", "example3", "--out", tmp + "/e3.csv"],
+            ["--seed", "2", "simulate", "niid", "--rho12", "0.5", "--rho13", "0.7", "--rho23", "0.8",
+             "--n", "200", "--out", tmp + "/niid.csv"],
+            ["analyze-regression", tmp + "/tr.csv", "--response", "y", "--regressors", "x",
+             "--ordering", "t:time"],
+            ["analyze-regression", tmp + "/e3.csv", "--response", "y", "--regressors", "x",
+             "--ordering", "group", "--by-group", "group"],
+            ["analyze-regression", tmp + "/niid.csv", "--response", "y", "--regressors", "x1", "x2",
+             "--ordering", "t:time"],
+            ["analyze-table", str(fixture_path("berkeley.json"))],
+            ["--seed", "3", "simulate", "mc-size", "--dgp", "trending", "--reps", "1000"],
+            ["reverse-conditions", "0.5", "0.7", "0.8"],
+        ]
+        codes = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        print(json.dumps({{"codes": codes, "loaded": "scipy.stats" in sys.modules}}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome == {"codes": [0] * 9, "loaded": False}
