@@ -408,6 +408,15 @@ def triple_from_tables(tables: StratifiedTables) -> EventProbabilityTriple:
     )
 
 
+def _member(obj, key: str, where: str):
+    """obj[key] of a JSON object, or InvalidSpec saying where it is missing."""
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"malformed stratified-tables JSON: {where} is not an object (got {type(obj).__name__})")
+    if key not in obj:
+        raise InvalidSpec(f"malformed stratified-tables JSON: {where} is missing key {key!r}")
+    return obj[key]
+
+
 def stratified_tables_from_json(obj: dict) -> StratifiedTables:
     """Parse the on-disk JSON layout into StratifiedTables.
 
@@ -418,15 +427,20 @@ def stratified_tables_from_json(obj: dict) -> StratifiedTables:
          "complete": true | false}
     """
     try:
-        labels = obj["aggregate"]["labels"]
-        rows = tuple(labels["rows"])
-        cols = tuple(labels["cols"])
-        aggregate = ContingencyTable(row_labels=rows, col_labels=cols, counts=obj["aggregate"]["counts"])
+        aggregate_obj = _member(obj, "aggregate", "the top level")
+        labels = _member(aggregate_obj, "labels", "aggregate")
+        rows = tuple(_member(labels, "rows", "aggregate labels"))
+        cols = tuple(_member(labels, "cols", "aggregate labels"))
+        counts = _member(aggregate_obj, "counts", "aggregate")
+        aggregate = ContingencyTable(row_labels=rows, col_labels=cols, counts=counts)
         strata = tuple(
-            (entry["name"], ContingencyTable(row_labels=rows, col_labels=cols, counts=entry["counts"]))
-            for entry in obj["strata"]
+            (
+                _member(entry, "name", f"strata[{i}]"),
+                ContingencyTable(row_labels=rows, col_labels=cols, counts=_member(entry, "counts", f"strata[{i}]")),
+            )
+            for i, entry in enumerate(_member(obj, "strata", "the top level"))
         )
-        complete = bool(obj["complete"])
-    except (KeyError, TypeError) as exc:
+        complete = bool(_member(obj, "complete", "the top level"))
+    except TypeError as exc:
         raise InvalidSpec(f"malformed stratified-tables JSON: {exc}") from None
     return StratifiedTables(aggregate=aggregate, strata=strata, complete=complete)

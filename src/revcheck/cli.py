@@ -486,8 +486,11 @@ def _write_csv(data: Dataset, out: str, column_order: list) -> str:
     text = "\n".join(lines) + "\n"
     if out == "-":
         return text
-    with open(out, "w") as handle:
-        handle.write(text)
+    try:
+        with open(out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write {out}: {exc}") from None
     return f"wrote {n} rows to {out}\n"
 
 

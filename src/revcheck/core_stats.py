@@ -11,13 +11,24 @@ study runs the same code on a block of replications. Checks report to an
 error sink: `flag(mask, error, message)` for the rows that fail, `stop`
 for a check every row fails. Per-dataset calls pass `_RAISE`, which raises
 at once.
+
+Every least-squares solve runs with numpy's OpenBLAS capped at one thread:
+the designs revcheck factors gain no wall time from a second BLAS thread,
+whose idle worker would only spin on another core. The thread count is a
+process-wide OpenBLAS setting, so each solve restores the caller's count
+when it returns or raises. Where numpy's BLAS is not an OpenBLAS whose
+thread-count functions can be found, solves run under the BLAS's own
+threading.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy import special
 
 from .errors import (
@@ -49,6 +60,63 @@ class _Raise:
 
 
 _RAISE = _Raise()
+
+
+class _OneBlasThread:
+    """Context manager capping OpenBLAS at one thread while any solve runs.
+
+    The thread count is process-wide, so solves running at once in several
+    threads share one cap: the first to enter saves the caller's count and
+    sets 1, and the last to leave restores the saved count.
+    """
+
+    def __init__(self, get, set_):
+        self.get, self.set = get, set_
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                self.set(self._saved)
+
+
+def _openblas_one_thread():
+    """A _OneBlasThread for the OpenBLAS numpy's linalg uses, or None.
+
+    dlsym on the handle of the extension that links OpenBLAS also searches
+    that library, so this finds it whatever its file is called. The names
+    are those OpenBLAS builds export: the scipy-openblas wheels numpy has
+    bundled since 2.0 add a `scipy_` prefix, and 64-bit-integer builds a
+    `64_` or `_64` suffix.
+    """
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", "_64", ""):
+            try:
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return _OneBlasThread(get, set_)
+    return None
+
+
+_ONE_BLAS_THREAD = _openblas_one_thread()
 
 
 def _as_finite_array(values, name: str, min_len: int = 1) -> np.ndarray:
@@ -172,7 +240,17 @@ def _solve(design: np.ndarray, response: np.ndarray, errors) -> _Solves:
     once. Rows whose R is singular or whose condition estimate exceeds
     COND_MAX are flagged as rank deficient and solved against an identity R,
     so their numbers are meaningless but never stop the stacked solve.
+
+    OpenBLAS runs the solve on one thread. Its thread count is process-wide,
+    so the caller's count is restored on return and when a check raises.
     """
+    if _ONE_BLAS_THREAD is None:
+        return _qr_solve(design, response, errors)
+    with _ONE_BLAS_THREAD:
+        return _qr_solve(design, response, errors)
+
+
+def _qr_solve(design: np.ndarray, response: np.ndarray, errors) -> _Solves:
     n, p = design.shape[-2:]
     if n <= p:
         errors.stop(Underdetermined, f"{n} observations cannot identify {p} parameters")

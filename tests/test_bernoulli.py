@@ -224,6 +224,42 @@ def test_json_loader_roundtrip_and_errors():
         stratified_tables_from_json(bad)
 
 
+def without(obj, *path):
+    """A deep copy of obj with the key at the end of path removed."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("aggregate",), "the top level is missing key 'aggregate'"),
+        (("strata",), "the top level is missing key 'strata'"),
+        (("complete",), "the top level is missing key 'complete'"),
+        (("aggregate", "labels"), "aggregate is missing key 'labels'"),
+        (("aggregate", "counts"), "aggregate is missing key 'counts'"),
+        (("aggregate", "labels", "rows"), "aggregate labels is missing key 'rows'"),
+        (("aggregate", "labels", "cols"), "aggregate labels is missing key 'cols'"),
+        (("strata", 1, "name"), "strata[1] is missing key 'name'"),
+        (("strata", 0, "counts"), "strata[0] is missing key 'counts'"),
+    ],
+)
+def test_json_loader_names_a_missing_key_and_where(path, message):
+    with pytest.raises(InvalidSpec) as caught:
+        stratified_tables_from_json(without(load_json("lindley_novick.json"), *path))
+    assert str(caught.value) == f"malformed stratified-tables JSON: {message}"
+
+
+def test_json_loader_rejects_a_top_level_that_is_not_an_object():
+    with pytest.raises(InvalidSpec) as caught:
+        stratified_tables_from_json([load_json("lindley_novick.json")])
+    assert str(caught.value) == "malformed stratified-tables JSON: the top level is not an object (got list)"
+
+
 def test_bundled_fixture_copies_match_repo_root():
     # The repo root fixtures/ directory mirrors the bundled package data.
     import pathlib

@@ -255,6 +255,10 @@ def test_analyze_table_error_paths(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(["analyze-table", str(bad)], capsys)
     assert code == 2 and "not valid JSON" in err
+    bad.write_text("[]")
+    code, out, err = run(["analyze-table", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed stratified-tables JSON: the top level is not an object (got list)\n"
 
 
 def test_timestamp_only_stamps_text(capsys):
@@ -303,6 +307,14 @@ def test_simulate_writes_file_deterministically(tmp_path, capsys):
     assert path.read_text() == first
     assert first.splitlines()[0] == "t,x"
     assert len(first.splitlines()) == 21
+
+
+def test_simulate_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(["--seed", "3", "simulate", "trending", "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()
 
 
 def test_mc_size_json_and_thread_invariance(capsys):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
 
+from revcheck import core_stats
 from revcheck.core_stats import (
     _RAISE,
     ChiSquare,
@@ -206,6 +212,129 @@ def test_stacked_least_squares_flags_rank_deficient_rows():
     assert np.allclose(solves.coefficients[[0, 2]], coefficients, rtol=1e-10)
     with pytest.raises(RankDeficient, match="exceeds"):
         least_squares(ill, response[3])
+
+
+needs_blas_setter = pytest.mark.skipif(
+    core_stats._ONE_BLAS_THREAD is None, reason="numpy's BLAS exports no OpenBLAS thread-count setter"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS (get, set) pair, set to 2 threads; the count found is restored afterwards."""
+    get, set_ = core_stats._ONE_BLAS_THREAD.get, core_stats._ONE_BLAS_THREAD.set
+    before = get()
+    set_(2)
+    assert get() == 2
+    yield get, set_
+    set_(before)
+
+
+@needs_blas_setter
+def test_solves_restore_the_callers_blas_thread_count(blas_threads):
+    get, _ = blas_threads
+    rng = np.random.default_rng(81)
+    x = rng.standard_normal(30)
+    least_squares(np.column_stack([np.ones(30), x]), rng.standard_normal(30))
+    assert get() == 2
+    with pytest.raises(RankDeficient):
+        least_squares(np.column_stack([np.ones(30), np.zeros(30)]), x)
+    assert get() == 2
+    with pytest.raises(Underdetermined):
+        least_squares(np.ones((2, 2)), x[:2])
+    assert get() == 2
+
+
+@needs_blas_setter
+def test_solves_run_on_one_blas_thread(blas_threads, monkeypatch):
+    get, _ = blas_threads
+    seen = []
+    qr = np.linalg.qr
+
+    def recording_qr(a):
+        seen.append(get())
+        return qr(a)
+
+    monkeypatch.setattr(core_stats.np.linalg, "qr", recording_qr)
+    rng = np.random.default_rng(82)
+    least_squares(rng.standard_normal((50, 3)), rng.standard_normal(50))
+    assert seen == [1]
+
+
+@needs_blas_setter
+def test_concurrent_solves_restore_the_callers_blas_thread_count(blas_threads):
+    # Unlocked, one thread's solve could save another's cap of 1 as "the
+    # caller's count" and restore it last.
+    get, _ = blas_threads
+    rng = np.random.default_rng(85)
+    design, response = rng.standard_normal((200, 4)), rng.standard_normal(200)
+    workers = [
+        threading.Thread(target=lambda: [least_squares(design, response) for _ in range(50)])
+        for _ in range(2 * (os.cpu_count() or 1) + 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert get() == 2
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("shape", [(5000, 8), (256, 46, 4)])
+def test_one_thread_solves_are_bit_identical(blas_threads, monkeypatch, shape):
+    rng = np.random.default_rng(83)
+    design = rng.standard_normal(shape)
+    response = rng.standard_normal(shape[:-1])
+    capped = _solve(design, response, _RAISE)
+    monkeypatch.setattr(core_stats, "_ONE_BLAS_THREAD", None)
+    uncapped = _solve(design, response, _RAISE)
+    for name in ("coefficients", "residuals", "r", "qty", "condition"):
+        assert np.array_equal(getattr(capped, name), getattr(uncapped, name)), name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_thread_setter_is_found_when_openblas_is_loaded():
+    # Without this, a wheel that renames its OpenBLAS symbols would leave
+    # solves uncapped without any test failing.
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if len(line.split()) >= 6}
+    if not any("openblas" in os.path.basename(path).lower() for path in paths):
+        pytest.skip("no OpenBLAS library is loaded")
+    assert core_stats._ONE_BLAS_THREAD is not None
+
+
+@needs_blas_setter
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core cannot be oversubscribed")
+def test_tall_solves_keep_one_core_busy():
+    # An idle OpenBLAS worker spinning beside the solve shows as process
+    # CPU time well above wall time (about 2 with two threads).
+    code = textwrap.dedent(
+        """
+        import time
+        import numpy as np
+        from revcheck.core_stats import least_squares
+
+        rng = np.random.default_rng(84)
+        design = np.column_stack([np.ones(5000), rng.standard_normal((5000, 7))])
+        response = rng.standard_normal(5000)
+        least_squares(design, response)
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(20):
+            least_squares(design, response)
+        print((time.process_time() - cpu) / (time.perf_counter() - wall))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core_stats.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 1.4
 
 
 # Frozen tail probabilities, computed by numerical quadrature of the
