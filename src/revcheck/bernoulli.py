@@ -26,6 +26,7 @@ from .errors import (
     MismatchedInputs,
     TooFewStrata,
 )
+from .verdict import _fmt, format_p
 
 
 def _check_count(value, name: str) -> int:
@@ -244,11 +245,6 @@ class AggregateVerdict:
     alpha: float
 
 
-def _fmt_rate(value: float) -> str:
-    text = f"{value:.2f}"
-    return text[1:] if text.startswith("0.") else text
-
-
 def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> AggregateVerdict:
     """Judge whether the aggregate rate comparison can be taken at face value.
 
@@ -286,17 +282,17 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     lines = []
     winner = labels[0] if agg_dir > 0 else labels[1] if agg_dir < 0 else "neither group"
     lines.append(
-        f"Aggregate: {labels[0]} {_fmt_rate(rate0)} vs {labels[1]} {_fmt_rate(rate1)}, favoring {winner}."
+        f"Aggregate: {labels[0]} {_fmt(rate0, 2)} vs {labels[1]} {_fmt(rate1, 2)}, favoring {winner}."
     )
     if flipped:
         parts = []
         for name, r0, r1 in per_stratum:
             if name in flipped:
                 note = "; margin below display precision" if abs(r0 - r1) < 0.005 or round(r0, 2) == round(r1, 2) else ""
-                parts.append(f"{name} ({_fmt_rate(r0)} vs {_fmt_rate(r1)}{note})")
+                parts.append(f"{name} ({_fmt(r0, 2)} vs {_fmt(r1, 2)}{note})")
         lines.append("Strata ordering the groups the other way: " + ", ".join(parts) + ".")
     agreeing = [
-        f"{name} ({_fmt_rate(r0)} vs {_fmt_rate(r1)})"
+        f"{name} ({_fmt(r0, 2)} vs {_fmt(r1, 2)})"
         for name, r0, r1 in per_stratum
         if name not in flipped and int(np.sign(r0 - r1)) == agg_dir
     ]
@@ -308,7 +304,7 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
         verdicts = []
         for label, result in homogeneity.items():
             word = "holds" if result.id_holds else "fails"
-            verdicts.append(f"{label} {word} (p {_fmt_p(result.p_value)})")
+            verdicts.append(f"{label} {word} (p {format_p(result.p_value)})")
         lines.append("Constant-rate check across strata: " + ", ".join(verdicts) + ".")
     else:
         lines.append("A single stratum gives the constancy check nothing to compare.")
@@ -331,12 +327,6 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
         narrative="\n".join(lines),
         alpha=alpha,
     )
-
-
-def _fmt_p(p: float) -> str:
-    if p < 0.0005:
-        return "< .001"
-    return "= " + f"{p:.3f}"[1:]
 
 
 @dataclass(frozen=True)

@@ -147,10 +147,6 @@ def _direction(sign_value: float) -> int:
     return int(np.sign(sign_value))
 
 
-def _fmt3(value: float) -> str:
-    return verdict._fmt(value)
-
-
 # ---------------------------------------------------------------- regression
 
 
@@ -309,8 +305,8 @@ def cmd_analyze_regression(args) -> str:
 
     narrative = [f"Marginal: {verdict.format_fit(marginal_fit)}"]
     narrative.append(
-        f"Naive correlation of ({x1}, {response}): {_fmt3(naive_rho)}"
-        f" (slope-implied {_fmt3(slope_implied_rho)})"
+        f"Naive correlation of ({x1}, {response}): {verdict._fmt(naive_rho)}"
+        f" (slope-implied {verdict._fmt(slope_implied_rho)})"
     )
 
     corrected = None
@@ -377,7 +373,7 @@ def cmd_analyze_regression(args) -> str:
             f"detrended (degree {cfg.trend_degree}) and dememorized ({cfg.lag_count} lags) both series"
         )
         narrative.append(
-            f"Corrected correlation: {_fmt3(corrected.rho)} "
+            f"Corrected correlation: {verdict._fmt(corrected.rho)} "
             f"(p {verdict.format_p(corrected.p_value)}, n_eff = {corrected.n_effective})"
         )
 
@@ -447,7 +443,7 @@ def cmd_analyze_table(args) -> str:
         else:
             narrative.append("Strict event-probability reversal pattern does not hold.")
     narrative.append(
-        f"Aggregate two-proportion z = {_fmt3(comparison.z)} (p {verdict.format_p(comparison.p_value)})."
+        f"Aggregate two-proportion z = {verdict._fmt(comparison.z)} (p {verdict.format_p(comparison.p_value)})."
     )
 
     pair = verdict.AssociationPair(
@@ -594,20 +590,20 @@ def cmd_reverse_conditions(args) -> str:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     mark = {True: "yes", False: "no"}
     lines = [
-        f"rho12 = {_fmt3(conditions.rho12)}, rho13 = {_fmt3(conditions.rho13)}, "
-        f"rho23 = {_fmt3(conditions.rho23)}",
+        f"rho12 = {verdict._fmt(conditions.rho12)}, rho13 = {verdict._fmt(conditions.rho13)}, "
+        f"rho23 = {verdict._fmt(conditions.rho23)}",
         f"(i)   product carries the sign of rho12: {mark[conditions.same_sign]}",
         f"(ii)  |rho13 * rho23| > |rho12|:         {mark[conditions.product_exceeds]}"
-        f"  ({_fmt3(abs(conditions.rho13 * conditions.rho23))} vs {_fmt3(abs(conditions.rho12))})",
+        f"  ({verdict._fmt(abs(conditions.rho13 * conditions.rho23))} vs {verdict._fmt(abs(conditions.rho12))})",
         f"(iii) correlation determinant > 0:       {mark[conditions.det_positive]}"
-        f"  (det = {_fmt3(conditions.corr_det)})",
+        f"  (det = {verdict._fmt(conditions.corr_det)})",
         f"reversal predicted: {mark[conditions.reversal_predicted]}",
     ]
     if params is not None:
         lines.append(
             "unit-variance params: "
-            f"beta1 = {_fmt3(params.beta1)}, beta2 = {_fmt3(params.beta2)}, "
-            f"sigma_u2 = {_fmt3(params.sigma_u2)}, marginal slope alpha1 = {_fmt3(conditions.rho12)}"
+            f"beta1 = {verdict._fmt(params.beta1)}, beta2 = {verdict._fmt(params.beta2)}, "
+            f"sigma_u2 = {verdict._fmt(params.sigma_u2)}, marginal slope alpha1 = {verdict._fmt(conditions.rho12)}"
         )
     else:
         lines.append("unit-variance params: undefined (not a positive-definite correlation matrix)")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -208,9 +208,6 @@ class LeastSquaresSolution:
     rss: float
     xtx_inverse: np.ndarray
     condition_estimate: float
-    # Q'y: its last q entries' squared norm is the RSS dropping the last q
-    # columns would add.
-    _qty: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -295,13 +292,14 @@ def least_squares(design, response) -> LeastSquaresSolution:
     if len(y) != X.shape[0]:
         raise MismatchedInputs(f"design has {X.shape[0]} rows but response has {len(y)}")
     solves = _solve(X, y, _RAISE)
+    with np.errstate(over="ignore"):  # an rss past the float range is inf; fits report it
+        rss = float(solves.residuals @ solves.residuals)
     return LeastSquaresSolution(
         coefficients=solves.coefficients,
         residuals=solves.residuals,
-        rss=float(solves.residuals @ solves.residuals),
+        rss=rss,
         xtx_inverse=solves.xtx_inverse,
         condition_estimate=float(solves.condition),
-        _qty=solves.qty,
     )
 
 

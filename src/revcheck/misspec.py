@@ -16,7 +16,11 @@ model behind a fit:
 
 Auxiliary regressions regress the base fit's residuals on the original
 regressors plus the probe terms and F-test the probe block jointly; this
-is numerically identical to the classical added-variable F-test. Each
+is numerically identical to the classical added-variable F-test. They
+stack an intercept, the regressors and the probe columns, in that order,
+into one design and go straight to the least-squares kernel, without a
+Dataset, a ModelSpec or per-term inference: the joint F needs only the
+full fit's RSS and its Q'y. Each
 assumption ends up marked pass, fail, or untested; a check that cannot run
 is never reported as a pass.
 
@@ -38,11 +42,12 @@ from .errors import (
     GroupTooSmall,
     InvalidSpec,
     MismatchedInputs,
+    NonFiniteInput,
     RankDeficient,
     TooFewResiduals,
     Underdetermined,
 )
-from .regression import Dataset, FitResult, ModelSpec, _fit, subset_fit
+from .regression import Dataset, FitResult, _degenerate, subset_fit
 
 PASS = "pass"
 FAIL = "fail"
@@ -96,11 +101,9 @@ class CheckResult:
 class AuxiliaryResult:
     """An auxiliary residual regression with a joint F-test of added terms."""
 
-    aux_fit: FitResult
     added_terms: tuple
     joint_f_stat: float
     joint_p: float
-    per_term_p: dict
 
 
 @dataclass(frozen=True)
@@ -141,35 +144,38 @@ def _plain_regressors(base: FitResult) -> tuple:
     return base.spec.regressors
 
 
-def _fresh_name(taken, stem: str) -> str:
-    name = stem
-    while name in taken:
-        name = "_" + name
-    return name
-
-
-def _added_terms_f(columns: dict, resid_name: str, base_names: tuple, added_names: tuple) -> AuxiliaryResult:
-    """F-test of `added_names` in a residual regression. They are the last
-    q design columns, so the fit without them has the full fit's RSS plus
-    the squared norm of the last q entries of Q'y; dropping columns cannot
-    raise the condition number, so that fit cannot fail where this one ran."""
-    spec = ModelSpec(response=resid_name, regressors=base_names + added_names)
-    full, solution = _fit(Dataset(columns=columns), spec)
-    if full.degenerate:
+def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> AuxiliaryResult:
+    """F-test of the `added` (name, column) pairs in the regression of
+    response on an intercept, base_columns and the added columns, in that
+    order. The fit without the last q columns has this fit's RSS plus the
+    squared norm of the last q entries of Q'y, and it cannot fail where this
+    one ran: dropping columns cannot raise the condition number."""
+    design = np.column_stack([np.ones(len(response)), *base_columns, *(column for _, column in added)])
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
+        raise NonFiniteInput("auxiliary regression values overflow the floating-point range")
+    solves = _solve(design, response, _RAISE)
+    if _degenerate(response, solves.residuals, True, _RAISE)[0]:
         raise DegenerateData("auxiliary regression is degenerate")
-    q = len(added_names)
-    df_den = full.n_used - len(full.coefficients)
-    added_qty = solution._qty[-q:]
-    f_stat = (float(added_qty @ added_qty) / q) / (solution.rss / df_den)
+    q = len(added)
+    df_den = design.shape[0] - design.shape[1]
+    rss = float(solves.residuals @ solves.residuals)
+    qty_added = solves.qty[-q:]
+    f_stat = (float(qty_added @ qty_added) / q) / (rss / df_den)
     joint_p = tail_prob(FisherF(q, df_den), f_stat, "one")
-    per_term_p = {name: float(full.p_values[full.index_of(name)]) for name in added_names}
-    return AuxiliaryResult(
-        aux_fit=full,
-        added_terms=added_names,
-        joint_f_stat=float(f_stat),
-        joint_p=float(joint_p),
-        per_term_p=per_term_p,
-    )
+    return AuxiliaryResult(tuple(name for name, _ in added), float(f_stat), float(joint_p))
+
+
+def _regressor_terms(data: Dataset, base: FitResult) -> list:
+    """(name, column, is_square) of each regressor of the base fit over the
+    fit window, each followed by its square unless it takes at most two
+    values (a dummy's square carries no new information)."""
+    terms = []
+    for name in _plain_regressors(base):
+        values = data.column(name)[base.row_index]
+        terms.append((name, values, False))
+        if len(np.unique(values)) > 2:
+            terms.append((f"{name}^2", values**2, True))
+    return terms
 
 
 def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConfig()) -> AuxiliaryResult:
@@ -191,31 +197,14 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
     rows = window[usable]
     if rows.size == 0:
         raise Underdetermined("lag depth leaves no usable rows")
-    u = base.residuals[usable]
 
-    taken = set(regressors)
-    resid_name = _fresh_name(taken, "resid")
-    columns = {resid_name: u}
-    base_names = []
-    for name in regressors:
-        columns[name] = data.column(name)[rows]
-        base_names.append(name)
-    added = []
     m = rows.size
     s = np.arange(1, m + 1) / m
-    for power in range(1, cfg.trend_degree):
-        tname = _fresh_name(set(columns), f"t^{power}")
-        columns[tname] = s**power
-        added.append(tname)
+    added = [(f"t^{power}", s**power) for power in range(1, cfg.trend_degree)]
     for source in (base.spec.response, *regressors):
         series = data.column(source)
-        for k in range(1, lags + 1):
-            lname = _fresh_name(set(columns), f"{source}[-{k}]")
-            columns[lname] = series[rows - k]
-            added.append(lname)
-    if not added:
-        raise InvalidSpec("configuration adds no trend or lag terms")
-    return _added_terms_f(columns, resid_name, tuple(base_names), tuple(added))
+        added += [(f"{source}[-{k}]", series[rows - k]) for k in range(1, lags + 1)]
+    return _added_terms_f(base.residuals[usable], [data.column(name)[rows] for name in regressors], added)
 
 
 def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> AuxiliaryResult:
@@ -233,31 +222,15 @@ def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> Auxili
         raise InvalidSpec("shift diagnostics need a group ordering")
     rows = base.row_index
     values = ordering_var.values[rows]
-    if ordering_var.kind == "binary_group":
-        dummy_levels = [1.0]
-        dummies = [(values == 1.0).astype(float)]
-    else:
-        levels = sorted(set(values.tolist()))
-        if len(levels) < 2:
-            raise GroupTooSmall(f"ordering {ordering!r} has a single level in the fit window")
-        dummy_levels = levels[1:]
-        dummies = [(values == level).astype(float) for level in dummy_levels]
-    for dummy in dummies:
-        count = int(dummy.sum())
-        if count == 0 or count == len(dummy):
+    # A dummy for every level but the first; a binary ordering's is 1.
+    levels = [1.0] if ordering_var.kind == "binary_group" else sorted(set(values.tolist()))[1:]
+    if not levels:
+        raise GroupTooSmall(f"ordering {ordering!r} has a single level in the fit window")
+    added = [(f"shift({ordering}={level})", (values == level).astype(float)) for level in levels]
+    for _, dummy in added:
+        if dummy.sum() in (0, len(dummy)):
             raise GroupTooSmall(f"ordering {ordering!r} has an empty group in the fit window")
-
-    taken = set(regressors)
-    resid_name = _fresh_name(taken, "resid")
-    columns = {resid_name: base.residuals}
-    for name in regressors:
-        columns[name] = data.column(name)[rows]
-    added = []
-    for level, dummy in zip(dummy_levels, dummies):
-        dname = _fresh_name(set(columns), f"shift({ordering}={level})")
-        columns[dname] = dummy
-        added.append(dname)
-    return _added_terms_f(columns, resid_name, tuple(regressors), tuple(added))
+    return _added_terms_f(base.residuals, [data.column(name)[rows] for name in regressors], added)
 
 
 def linearity_check(data: Dataset, base: FitResult, alpha: float = 0.05) -> AuxiliaryResult:
@@ -267,23 +240,11 @@ def linearity_check(data: Dataset, base: FitResult, alpha: float = 0.05) -> Auxi
     no new information. Raises InvalidSpec when no square adds anything.
     """
     _require_live_fit(base)
-    regressors = _plain_regressors(base)
-    rows = base.row_index
-    taken = set(regressors)
-    resid_name = _fresh_name(taken, "resid")
-    columns = {resid_name: base.residuals}
-    added = []
-    for name in regressors:
-        values = data.column(name)[rows]
-        columns[name] = values
-        if len(np.unique(values)) <= 2:
-            continue
-        sq_name = _fresh_name(set(columns), f"{name}^2")
-        columns[sq_name] = values**2
-        added.append(sq_name)
-    if not added:
+    terms = _regressor_terms(data, base)
+    squares = [(name, column) for name, column, is_square in terms if is_square]
+    if not squares:
         raise InvalidSpec("no regressor admits a meaningful squared term")
-    return _added_terms_f(columns, resid_name, tuple(regressors), tuple(added))
+    return _added_terms_f(base.residuals, [column for _, column, is_square in terms if not is_square], squares)
 
 
 def _k2(u: np.ndarray) -> tuple:
@@ -366,23 +327,10 @@ def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str, alpha: 
 
 
 def _squared_residual_regression(data: Dataset, base: FitResult, alpha: float) -> CheckResult:
-    rows = base.row_index
-    regressors = _plain_regressors(base)
-    taken = set(regressors)
-    sq_resid_name = _fresh_name(taken, "resid_sq")
-    columns = {sq_resid_name: base.residuals**2}
-    added = []
-    for name in regressors:
-        values = data.column(name)[rows]
-        columns[name] = values
-        added.append(name)
-        if len(np.unique(values)) > 2:
-            sq_name = _fresh_name(set(columns), f"{name}^2")
-            columns[sq_name] = values**2
-            added.append(sq_name)
+    added = [(name, column) for name, column, _ in _regressor_terms(data, base)]
     if not added:
         raise InvalidSpec("no regressors available for the variance regression")
-    aux = _added_terms_f(columns, sq_resid_name, (), tuple(added))
+    aux = _added_terms_f(base.residuals**2, [], added)
     return CheckResult(stat=aux.joint_f_stat, p=aux.joint_p, passed=bool(aux.joint_p >= alpha))
 
 
@@ -487,15 +435,27 @@ def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConf
     return _corrected(x, y, cfg)[0]
 
 
-def _untested_report(source: str, degenerate: bool) -> MisspecReport:
+def _untested_report(source: str, degenerate: bool, assumptions: tuple = ASSUMPTIONS) -> MisspecReport:
     return MisspecReport(
-        per_assumption={a: UNTESTED for a in ASSUMPTIONS},
-        p_values={a: None for a in ASSUMPTIONS},
+        per_assumption={a: UNTESTED for a in assumptions},
+        p_values={a: None for a in assumptions},
         evidence=(),
         overall_adequate=True,
         degenerate=degenerate,
         source=source,
     )
+
+
+# What a check raises when it cannot run on the data at hand: run_battery
+# then leaves its assumption untested. Any other error propagates.
+_CANNOT_RUN = (
+    InvalidSpec,
+    GroupTooSmall,
+    TooFewResiduals,
+    Underdetermined,
+    RankDeficient,
+    DegenerateData,
+)
 
 
 def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConfig(), source: str = "") -> MisspecReport:
@@ -536,21 +496,21 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         check = normality_check(base.residuals, alpha=alpha)
         evidence.append(("normality", check))
         record(norm_label, check.p)
-    except (TooFewResiduals, DegenerateData):
+    except _CANNOT_RUN:
         pass
 
     try:
         aux = linearity_check(data, base, alpha=alpha)
         evidence.append(("linearity", aux))
         record(lin_label, aux.joint_p)
-    except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
+    except _CANNOT_RUN:
         pass
 
     ran_grouped_variance = False
     for name in group_orderings:
         try:
             check = homoskedasticity_check(data, base, ordering=name, alpha=alpha)
-        except (InvalidSpec, GroupTooSmall, Underdetermined, RankDeficient, DegenerateData):
+        except _CANNOT_RUN:
             continue
         evidence.append((f"variance-ratio({name})", check))
         record(hom_label, check.p)
@@ -560,7 +520,7 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
             check = homoskedasticity_check(data, base, alpha=alpha)
             evidence.append(("variance-regression", check))
             record(hom_label, check.p)
-        except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
+        except _CANNOT_RUN:
             pass
 
     if time_orderings:
@@ -569,13 +529,13 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
             evidence.append(("trend-lag", aux))
             record(indep_label, aux.joint_p)
             record(invar_label, aux.joint_p)
-        except (InvalidSpec, Underdetermined, RankDeficient, DegenerateData):
+        except _CANNOT_RUN:
             pass
 
     for name in group_orderings:
         try:
             aux = ordering_shift_test(data, base, name)
-        except (InvalidSpec, GroupTooSmall, Underdetermined, RankDeficient, DegenerateData):
+        except _CANNOT_RUN:
             continue
         evidence.append((f"ordering-shift({name})", aux))
         record(invar_label, aux.joint_p)

@@ -292,17 +292,36 @@ def _coefficient_p(diff, se, df: int, errors) -> tuple:
     return stat, p
 
 
+def _degenerate(y, residuals, include_intercept: bool, errors) -> tuple:
+    """(degenerate, rss, tss) of stacked fits of y leaving these residuals.
+
+    A fit is degenerate when its residuals are numerically zero-variance
+    relative to y. That comparison means nothing once a sum of squares has
+    overflowed, so such rows are flagged as NonFiniteInput instead.
+    """
+    n = residuals.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rss = np.einsum("...i,...i->...", residuals, residuals)
+        yy = np.einsum("...i,...i->...", y, y)
+        tss = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1) if include_intercept else yy
+        scale = np.maximum(np.maximum(tss, yy), 1.0)
+        spread = residuals.var(axis=-1)
+    errors.flag(
+        ~(np.isfinite(rss) & np.isfinite(scale)),
+        NonFiniteInput,
+        "sums of squares overflow the floating-point range; rescale the data",
+    )
+    degenerate = (rss <= _DEGENERATE_RTOL * scale) | (spread <= _DEGENERATE_RTOL * scale / max(n, 1))
+    return degenerate, rss, tss
+
+
 def _inference(y, solution, include_intercept: bool, errors) -> tuple:
     """(degenerate, s, std_errors, t_ratios, p_values, r2) of stacked fits
     of y, one per leading index. A degenerate fit, whose residuals are
     numerically zero-variance, reports s = 0 and zero standard errors."""
     coefficients, residuals = solution.coefficients, solution.residuals
     n, p = residuals.shape[-1], coefficients.shape[-1]
-    rss = np.einsum("...i,...i->...", residuals, residuals)
-    yy = np.einsum("...i,...i->...", y, y)
-    tss = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1) if include_intercept else yy
-    scale = np.maximum(np.maximum(tss, yy), 1.0)
-    degenerate = (rss <= _DEGENERATE_RTOL * scale) | (residuals.var(axis=-1) <= _DEGENERATE_RTOL * scale / max(n, 1))
+    degenerate, rss, tss = _degenerate(y, residuals, include_intercept, errors)
     s2 = np.where(degenerate, 0.0, rss / (n - p))
     std_errors = np.sqrt(s2[..., None] * np.diagonal(solution.xtx_inverse, axis1=-2, axis2=-1))
     t_ratios, p_values = _coefficient_p(coefficients, std_errors, n - p, errors)
@@ -331,16 +350,10 @@ def _summarize(spec, info, solution) -> FitResult:
     )
 
 
-def _fit(data: Dataset, spec: ModelSpec) -> tuple:
-    """fit, plus the least-squares solution behind it."""
-    info = design_matrix(data, spec)
-    solution = least_squares(info.matrix, info.response)
-    return _summarize(spec, info, solution), solution
-
-
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """Fit the model by least squares and summarize the estimates."""
-    return _fit(data, spec)[0]
+    info = design_matrix(data, spec)
+    return _summarize(spec, info, least_squares(info.matrix, info.response))
 
 
 def subset_fit(data: Dataset, spec: ModelSpec, ordering: str, group) -> FitResult:

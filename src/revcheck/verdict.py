@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, MismatchedInputs
-from .misspec import FAIL, PASS, UNTESTED, MisspecReport
+from .misspec import FAIL, PASS, UNTESTED, MisspecReport, _untested_report
 from .regression import FitResult
 
 SCHEMA = "reversal-report/1"
@@ -199,14 +199,7 @@ def adequacy_from_homogeneity(homogeneity: dict, source: str = "") -> MisspecRep
 
 def untested_adequacy(assumptions: tuple = BERNOULLI_ASSUMPTIONS, source: str = "") -> MisspecReport:
     """A report whose every assumption is untested (nothing ran)."""
-    return MisspecReport(
-        per_assumption={a: UNTESTED for a in assumptions},
-        p_values={a: None for a in assumptions},
-        evidence=(),
-        overall_adequate=True,
-        degenerate=False,
-        source=source,
-    )
+    return _untested_report(source, degenerate=False, assumptions=assumptions)
 
 
 def _fmt(value: float, decimals: int = 3) -> str:

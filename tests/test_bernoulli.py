@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from revcheck import bernoulli
 from revcheck.bernoulli import (
     ContingencyTable,
     EventProbabilityTriple,
@@ -270,3 +272,18 @@ def test_bundled_fixture_copies_match_repo_root():
         bundled = json.loads(fixture_path(name).read_text())
         root_copy = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / name
         assert json.loads(root_copy.read_text()) == bundled
+
+
+@pytest.mark.parametrize(
+    "p, shown", [(1.0, "= 1.000"), (0.9996, "= 1.000"), (0.9994, "= .999"), (0.0004, "< .001")]
+)
+def test_narrative_shows_homogeneity_p_as_format_p_does(monkeypatch, p, shown):
+    # The constant-rate sentence prints each homogeneity p the way the
+    # verdict report does; p near 1 reads 1.000, not .000.
+    real = bernoulli.homogeneity_test
+    def with_p(*args, **kw):
+        return dataclasses.replace(real(*args, **kw), p_value=p, id_holds=True)
+
+    monkeypatch.setattr(bernoulli, "homogeneity_test", with_p)
+    narrative = aggregate_verdict(admissions_tables()).narrative
+    assert f"male holds (p {shown}), female holds (p {shown})." in narrative

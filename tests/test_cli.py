@@ -261,6 +261,39 @@ def test_analyze_table_error_paths(tmp_path, capsys):
     assert err == "error: malformed stratified-tables JSON: the top level is not an object (got list)\n"
 
 
+def test_analyze_table_shows_a_p_of_one_as_one(tmp_path, capsys):
+    # Group a's rate is .50 in both strata, so its constant-rate test has p = 1.
+    path = tmp_path / "flat.json"
+    path.write_text(
+        json.dumps(
+            {
+                "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": [[30, 45], [30, 15]]},
+                "strata": [
+                    {"name": "s1", "counts": [[10, 20], [10, 5]]},
+                    {"name": "s2", "counts": [[20, 25], [20, 10]]},
+                ],
+                "complete": True,
+            }
+        )
+    )
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "Constant-rate check across strata: a holds (p = 1.000), b holds (p = .450)." in out
+    assert "= .000" not in out
+
+
+def test_overflowing_sums_of_squares_exit_2(tmp_path, capsys):
+    # Finite data whose squares overflow: the residual and total sums of
+    # squares are both inf, which must not read as an exact fit.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(60)
+    y = (3 * x + rng.standard_normal(60)) * 1e160
+    path = write_csv(tmp_path / "huge.csv", "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    code, out, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: sums of squares overflow the floating-point range; rescale the data\n"
+
+
 def test_timestamp_only_stamps_text(capsys):
     fixture = str(fixture_path("lindley_novick.json"))
     code, out, _ = run(["--timestamp", "analyze-table", fixture], capsys)

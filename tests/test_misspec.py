@@ -13,7 +13,7 @@ from scipy import stats
 import revcheck
 from revcheck import misspec
 from revcheck.core_stats import Series, StudentT, tail_prob
-from revcheck.errors import DegenerateData, MismatchedInputs, TooFewResiduals, Underdetermined
+from revcheck.errors import DegenerateData, MismatchedInputs, NonFiniteInput, TooFewResiduals, Underdetermined
 from revcheck.misspec import (
     FAIL,
     PASS,
@@ -244,6 +244,56 @@ def test_trend_lag_flags_serial_dependence():
     assert calm_aux.joint_p > 0.05
     # trend powers 1..2 plus 2 lags of response and regressor
     assert len(calm_aux.added_terms) == 6
+
+
+def test_auxiliary_checks_add_terms_in_design_order(monkeypatch):
+    # Each check names its added columns in the order they enter the
+    # design, after the intercept and the base regressors. d is a dummy,
+    # so it gets no square.
+    rng = np.random.default_rng(44)
+    n = 60
+    x, z = rng.standard_normal(n), rng.standard_normal(n)
+    d = (rng.random(n) < 0.5).astype(float)
+    data = Dataset(
+        columns={"y": 1.0 + x + d + z + rng.standard_normal(n), "x": x, "d": d, "z": z},
+        orderings={
+            "t": OrderingVariable("t", "time", np.arange(1.0, n + 1.0)),
+            "g": OrderingVariable("g", "categorical", np.repeat(np.array(["a", "b", "c"], dtype=object), n // 3)),
+            "h": OrderingVariable("h", "binary_group", np.repeat([0.0, 1.0], n // 2)),
+        },
+    )
+    base = fit(data, ModelSpec(response="y", regressors=("x", "d", "z")))
+    assert linearity_check(data, base).added_terms == ("x^2", "z^2")
+    assert auxiliary_trend_lag_test(data, base, BatteryConfig()).added_terms == (
+        "t^1", "t^2", "y[-1]", "y[-2]", "x[-1]", "x[-2]", "d[-1]", "d[-2]", "z[-1]", "z[-2]",
+    )
+    assert ordering_shift_test(data, base, "g").added_terms == ("shift(g=b)", "shift(g=c)")
+    assert ordering_shift_test(data, base, "h").added_terms == ("shift(h=1.0)",)
+
+    # The variance regression reports a CheckResult; its terms are read off
+    # the auxiliary result it builds.
+    seen = []
+    real = misspec._added_terms_f
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(misspec, "_added_terms_f", spy)
+    check = homoskedasticity_check(data, base)
+    assert [aux.added_terms for aux in seen] == [("x", "x^2", "d", "z", "z^2")]
+    assert (check.stat, check.p) == (seen[0].joint_f_stat, seen[0].joint_p)
+
+
+def test_auxiliary_regression_rejects_overflowing_columns():
+    # The regressor is finite but its square is not. Without an intercept
+    # the base design [x] is well conditioned however large x is.
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal(40) * 1e200
+    data = Dataset(columns={"y": rng.standard_normal(40), "x": x}, orderings={})
+    base = fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=False))
+    with pytest.raises(NonFiniteInput, match="overflow"), pytest.warns(RuntimeWarning, match="overflow"):
+        linearity_check(data, base)
 
 
 def test_ordering_shift_flags_intercept_jump():

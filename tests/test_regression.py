@@ -9,6 +9,7 @@ from revcheck.errors import (
     IndexOutOfRange,
     InvalidSpec,
     MismatchedInputs,
+    NonFiniteInput,
     UnknownColumn,
     UnknownOrdering,
 )
@@ -89,6 +90,17 @@ def test_fit_degenerate_exact_line():
     assert res.r2 == 1.0
     assert res.s == 0.0
     assert np.allclose(res.coefficients, [1.0, 1.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_fit_flags_overflowing_sums_of_squares(intercept):
+    # rss and tss are both inf: inf <= 1e-12 * inf holds, so without the
+    # check the fit would read as exact.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(60)
+    data = Dataset(columns={"y": (3 * x + rng.standard_normal(60)) * 1e160, "x": x}, orderings={})
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=intercept))
 
 
 def test_fit_recovers_population_slopes():
