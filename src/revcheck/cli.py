@@ -137,6 +137,8 @@ def _stamp(args, text: str) -> str:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise InvalidSpec("--seed must be a non-negative integer")
         return args.seed
     seed = secrets.randbits(32)
     print(f"seed: {seed}", file=sys.stderr)

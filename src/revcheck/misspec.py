@@ -174,7 +174,9 @@ def _regressor_terms(data: Dataset, base: FitResult) -> list:
         values = data.column(name)[base.row_index]
         terms.append((name, values, False))
         if len(np.unique(values)) > 2:
-            terms.append((f"{name}^2", values**2, True))
+            # A square that overflows is caught as NonFiniteInput by the fit.
+            with np.errstate(over="ignore"):
+                terms.append((f"{name}^2", values**2, True))
     return terms
 
 
@@ -450,6 +452,7 @@ def _untested_report(source: str, degenerate: bool, assumptions: tuple = ASSUMPT
 # then leaves its assumption untested. Any other error propagates.
 _CANNOT_RUN = (
     InvalidSpec,
+    NonFiniteInput,
     GroupTooSmall,
     TooFewResiduals,
     Underdetermined,
@@ -463,7 +466,7 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
 
     Checks that cannot run on the given data (too few rows, missing
     orderings, degenerate groups, auxiliary designs too ill-conditioned to
-    solve) leave their assumption marked untested.
+    solve or whose values overflow) leave their assumption marked untested.
     A degenerate base fit short-circuits: every assumption is untested and
     the report carries the degenerate flag.
     """

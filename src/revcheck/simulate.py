@@ -8,11 +8,14 @@ aggregate error rate independent of how the work is split up.
 A Monte Carlo study generates and tests its replications in blocks of 256,
 held as stacked arrays with one row per replication, and runs the blocks
 one after another on the calling thread. Each row is exactly the dataset
-the replication's own stream gives. The tests run the same stacked code as
-the per-dataset functions (`regression.fit` and `coefficient_test`,
-`naive_correlation_test`, `misspec.corrected_correlation`), which are its
-batch-of-one case, so each row gets the same decision and fails with the
-same error as its dataset tested on its own.
+the replication's own stream gives: replication r is still
+rng_for(seed, r), but a block seeds its rows' streams in one vectorised
+pass and loads each into one reused generator before drawing its row. The
+tests run the same stacked code as the per-dataset functions
+(`regression.fit` and `coefficient_test`, `naive_correlation_test`,
+`misspec.corrected_correlation`), which are its batch-of-one case, so each
+row gets the same decision and fails with the same error as its dataset
+tested on its own.
 
 Four generators are provided:
 
@@ -58,6 +61,112 @@ def rng_for(seed: int, replication: int = None) -> np.random.Generator:
     """The generator for a seed, or for replication r of that seed."""
     entropy = [int(seed)] if replication is None else [int(seed), int(replication)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator),
+# and the default multiplier of PCG64's 128-bit step.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """An integer as SeedSequence reads it: 32-bit words, least significant
+    first, with 0 as one word."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: each call XORs in the
+    running hash constant, advances it, then multiplies by the new one. The
+    constants do not depend on the data, so one call serves every row."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_step(state: int, inc: int) -> int:
+    return (state * _PCG64_MULT + inc) & _MASK128
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list:
+    """The PCG64 (state, inc) that rng_for(seed, r) starts from, for each r
+    in range(start, stop).
+
+    SeedSequence([seed, r]) hashes its entropy words into a pool of four,
+    for all r at once as uint32 arithmetic, then draws four 64-bit words
+    from the pool; PCG64 seeds from them as pcg_setseq_128_srandom_r does.
+    Every r in the range must have as many 32-bit words as start, which
+    holds for any block of _BLOCK aligned to a multiple of _BLOCK.
+    """
+    rows = stop - start
+    r = np.arange(start, stop, dtype=np.uint64)
+    entropy = [np.full(rows, word, dtype=np.uint32) for word in _uint32_words(seed)]
+    entropy += [(r >> np.uint64(32 * k)).astype(np.uint32) for k in range(len(_uint32_words(start)))]
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # little-endian into (initstate high, low, initseq high, low).
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = _pcg64_step(0, inc)
+        state = _pcg64_step(state + (state_hi << 64 | state_lo), inc)
+        states.append((state, inc))
+    return states
+
+
+def _replication_rngs(seed: int, start: int, stop: int, rng: np.random.Generator):
+    """rng loaded in turn with the stream of each replication in
+    range(start, stop): what it yields for r draws exactly what
+    rng_for(seed, r) draws, until the next one is taken."""
+    for state, inc in _pcg64_states(seed, start, stop):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -179,13 +288,15 @@ def _polynomial(coefficients: tuple, s: np.ndarray) -> np.ndarray:
     return total
 
 
-def _draw_columns(kind, rngs: list) -> dict:
+def _draw_columns(kind, rngs) -> dict:
     """The columns a DGP kind draws, one row per generator in rngs.
 
-    Each generator is consumed in the same order whatever the number of
-    rows: for TrendingPair the x start, the x innovations, the y start, then
-    the y innovations; for TwoGroupRegression each group's x draws, then its
-    noise draws.
+    The generators are taken in sequence, and each row is drawn before the
+    next generator is taken, so rngs may yield one generator reloaded
+    between rows. Each generator is consumed in the same order whatever the
+    number of rows: for TrendingPair the x start, the x innovations, the y
+    start, then the y innovations; for TwoGroupRegression each group's x
+    draws, then its noise draws.
     """
     if isinstance(kind, NiidRegression):
         chol = np.linalg.cholesky(kind.joint.sigma)
@@ -407,17 +518,20 @@ def mc_error_rate(
 ) -> MonteCarloResult:
     """Empirical rejection rate of a test under a data-generating process.
 
-    Replication r consumes the stream derived from (dgp.seed, r), so the
-    result is a pure function of the arguments. Replications are generated
-    and tested in blocks of 256 as stacked arrays, one block after another
-    on the calling thread. `threads` is validated but changes neither the
-    result nor how the work runs.
+    Replication r consumes the stream derived from (dgp.seed, r), exactly
+    the one rng_for(dgp.seed, r) gives, so the result is a pure function of
+    the arguments. Replications are generated and tested in blocks of 256 as
+    stacked arrays, one block after another on the calling thread; each
+    block computes its rows' generator states in one pass and draws every
+    row from one reused generator. `threads` is validated but changes
+    neither the result nor how the work runs.
 
     Raises:
         InvalidSpec: if replications < 1000 (the rate would be too noisy
             to interpret against a nominal level).
         RevcheckError: the error the first failing replication raises when
             its dataset is generated and tested on its own.
+        ValueError: if dgp.seed is negative, as rng_for raises.
     """
     if replications < 1000:
         raise InvalidSpec("use at least 1000 replications")
@@ -427,9 +541,10 @@ def mc_error_rate(
         raise InvalidSpec("threads must be >= 1")
 
     rejections = 0
+    rng = np.random.Generator(np.random.PCG64())  # each row loads its own state
     for start in range(0, replications, _BLOCK):
         errors = _FirstError(start)
-        rngs = [rng_for(dgp.seed, r) for r in range(start, min(start + _BLOCK, replications))]
+        rngs = _replication_rngs(dgp.seed, start, min(start + _BLOCK, replications), rng)
         columns = _draw_columns(dgp.kind, rngs)
         for name, rows in columns.items():
             bad = ~np.isfinite(rows).all(axis=1)

@@ -350,6 +350,18 @@ def test_simulate_to_an_unwritable_path_exits_2(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "mc-size", "--dgp", "trending", "--test", "naive-correlation", "--reps", "1000"],
+        ["simulate", "trending"],
+    ],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    code, out, err = run(["--seed", "-1"] + argv, capsys)
+    assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer\n")
+
+
 def test_mc_size_json_and_thread_invariance(capsys):
     argv = ["--seed", "7", "--output", "json", "simulate", "mc-size", "--dgp", "trending",
             "--reps", "1000"]

@@ -35,6 +35,20 @@ CASES = {
         ["analyze-regression", "{csv}", "--response", "y", "--regressors", "x1", "x2", "--ordering", "t:time"],
     ),
     "reverse_conditions": (None, ["reverse-conditions", ".5", ".7", ".8"]),
+    # Size studies pin the replication streams, rng_for(seed, r), end to end.
+    "mc_size_trending_naive": (
+        None,
+        ["--seed", "2026", "simulate", "mc-size", "--reps", "1000", "--dgp", "trending", "--test", "naive-correlation"],
+    ),
+    "mc_size_trending_corrected": (
+        None,
+        ["--seed", "2026", "simulate", "mc-size", "--reps", "1000", "--dgp", "trending",
+         "--test", "corrected-correlation"],
+    ),
+    "mc_size_niid_coefficient": (
+        None,
+        ["--seed", "2026", "simulate", "mc-size", "--reps", "1000", "--dgp", "niid", "--test", "coefficient"],
+    ),
 }
 
 

@@ -285,15 +285,34 @@ def test_auxiliary_checks_add_terms_in_design_order(monkeypatch):
     assert (check.stat, check.p) == (seen[0].joint_f_stat, seen[0].joint_p)
 
 
-def test_auxiliary_regression_rejects_overflowing_columns():
+def _overflowing_square_case():
     # The regressor is finite but its square is not. Without an intercept
     # the base design [x] is well conditioned however large x is.
     rng = np.random.default_rng(45)
     x = rng.standard_normal(40) * 1e200
     data = Dataset(columns={"y": rng.standard_normal(40), "x": x}, orderings={})
-    base = fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=False))
-    with pytest.raises(NonFiniteInput, match="overflow"), pytest.warns(RuntimeWarning, match="overflow"):
-        linearity_check(data, base)
+    return data, fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=False))
+
+
+def test_auxiliary_regression_rejects_overflowing_columns():
+    data, base = _overflowing_square_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing square warns no more
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            linearity_check(data, base)
+
+
+def test_run_battery_leaves_overflowing_checks_untested():
+    data, base = _overflowing_square_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_battery(data, base, BatteryConfig())
+    assert report.per_assumption["[1] normality"] == PASS
+    # Linearity and the variance regression both need x^2.
+    for label in ("[2] linearity", "[3] homoskedasticity"):
+        assert report.per_assumption[label] == UNTESTED
+        assert report.p_values[label] is None
+    assert [name for name, _ in report.evidence] == ["normality"]
 
 
 def test_ordering_shift_flags_intercept_jump():

@@ -208,6 +208,25 @@ def test_generated_streams_are_pinned():
     )
 
 
+def _blocks(start: int, stop: int) -> list:
+    """The study's blocks of replications in range(start, stop)."""
+    return [(b, min(b + simulate._BLOCK, stop)) for b in range(start, stop, simulate._BLOCK)]
+
+
+# Seeds of one, two and three 32-bit words, and either side of a word boundary.
+@pytest.mark.parametrize("seed", [0, 1, 2026, 4242424242, 2**32 - 1, 2**32, 2**64 + 3])
+def test_block_seeding_gives_each_replication_its_own_stream(seed):
+    # Five blocks, the last one partial, then blocks on either side of
+    # r = 2^32, where a replication index takes a second word.
+    blocks = _blocks(0, 1100) + _blocks(2**32 - 256, 2**32 + 256)
+    for start, stop in blocks:
+        states = simulate._pcg64_states(seed, start, stop)
+        assert len(states) == stop - start
+        for r, (state, inc) in zip(range(start, stop), states):
+            expected = rng_for(seed, r).bit_generator.state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"]), (seed, r)
+
+
 def _lstsq_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
 
@@ -294,6 +313,40 @@ _PAIRINGS = {
 }
 
 
+@pytest.mark.parametrize(
+    "kind, test",
+    [
+        _PAIRINGS["niid-coefficient"],
+        _PAIRINGS["trending-naive"],
+        _PAIRINGS["two-group-coefficient"],
+        (BernoulliIid(theta=0.5, n=40), TestDescriptor(kind="naive_correlation", x="x", y="x")),
+    ],
+)
+def test_study_draws_each_replication_from_its_own_stream(kind, test, monkeypatch):
+    drawn = []
+
+    def recording(kind, rngs):
+        columns = draw_columns(kind, rngs)
+        drawn.append({name: rows.copy() for name, rows in columns.items()})
+        return columns
+
+    draw_columns = simulate._draw_columns
+    monkeypatch.setattr(simulate, "_draw_columns", recording)
+    mc_error_rate(DgpSpec(kind, 2026), test, replications=1000)
+    assert [len(next(iter(block.values()))) for block in drawn] == [256, 256, 256, 232]
+    for (start, stop), block in zip(_blocks(0, 1000), drawn):
+        for r in range(start, stop):
+            expected = _generate_with_rng(kind, rng_for(2026, r)).columns
+            assert sorted(block) == sorted(expected)
+            for name, values in expected.items():
+                assert np.array_equal(block[name][r - start], values), (r, name)
+
+
+def test_study_with_a_negative_seed_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        mc_error_rate(DgpSpec(TrendingPair(), -1), TestDescriptor(kind="naive_correlation"), replications=1000)
+
+
 @pytest.mark.parametrize("pairing", sorted(_PAIRINGS))
 @pytest.mark.parametrize("seed", [0, 11, 2026])
 def test_batched_study_matches_per_dataset_reference(pairing, seed):
@@ -360,7 +413,8 @@ def test_block_errors_follow_the_first_failing_replication():
 
 
 def test_batched_study_makes_no_per_replication_calls(monkeypatch):
-    # Guards against a silent fallback to testing one replication at a time.
+    # Guards against a silent fallback to testing one replication at a time,
+    # or to seeding one generator per replication.
     originals = (
         core_stats.least_squares,
         core_stats.sample_moments,
@@ -370,6 +424,8 @@ def test_batched_study_makes_no_per_replication_calls(monkeypatch):
         regression.fit,
         regression.coefficient_test,
         simulate.naive_correlation_test,
+        simulate.rng_for,
+        np.random.SeedSequence,
     )
     watched = dict.fromkeys(originals, 0)
 
@@ -385,6 +441,7 @@ def test_batched_study_makes_no_per_replication_calls(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is func for func in watched):
                     monkeypatch.setattr(module, attr, counting(value))
+    monkeypatch.setattr(np.random, "SeedSequence", counting(np.random.SeedSequence))
 
     # The counters see calls made through any module's binding.
     x, y = Series(np.arange(30.0) ** 1.5), Series(np.cos(np.arange(30.0)))
