@@ -217,36 +217,6 @@ def _build_dataset(raw: dict, ordering_specs: list) -> Dataset:
     return Dataset(columns=columns, orderings=declared)
 
 
-def _merge_reports(reports: list, source: str) -> misspec.MisspecReport:
-    """Combine per-group battery reports: a failure anywhere is a failure."""
-    statuses = {}
-    p_values = {}
-    evidence = []
-    for report in reports:
-        evidence.extend(report.evidence)
-        for label, status in report.per_assumption.items():
-            current = statuses.get(label)
-            if status == misspec.FAIL or current == misspec.FAIL:
-                statuses[label] = misspec.FAIL
-            elif status == misspec.UNTESTED or current == misspec.UNTESTED:
-                statuses[label] = misspec.UNTESTED
-            else:
-                statuses[label] = misspec.PASS
-            p = report.p_values.get(label)
-            if p is not None and (p_values.get(label) is None or p < p_values[label]):
-                p_values[label] = p
-            p_values.setdefault(label, None)
-    overall = all(status != misspec.FAIL for status in statuses.values())
-    return misspec.MisspecReport(
-        per_assumption=statuses,
-        p_values=p_values,
-        evidence=tuple(evidence),
-        overall_adequate=overall,
-        degenerate=any(r.degenerate for r in reports),
-        source=source,
-    )
-
-
 def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
     """Conditional side for a lone trending pair: the corrected correlation."""
     x = Series(data.column(regressor), regressor)
@@ -282,12 +252,7 @@ def cmd_analyze_regression(args) -> str:
     response = args.response
     x1 = args.regressors[0]
     alpha = args.alpha
-    cfg = misspec.BatteryConfig(
-        alpha=alpha,
-        trend_degree=args.trend_degree,
-        lag_count=args.lags,
-        orderings_to_test=tuple(data.orderings),
-    )
+    cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=args.trend_degree, lag_count=args.lags)
 
     marginal_source = f"fit {response} ~ {x1}"
     marginal_fit = fit(data, ModelSpec(response=response, regressors=(x1,)))
@@ -347,7 +312,7 @@ def cmd_analyze_regression(args) -> str:
             ps.append(float(g_fit.p_values[idx]))
             group_fits.append((level, g_fit))
             group_reports.append(g_report)
-        conditional_report = _merge_reports(group_reports, cond_source)
+        conditional_report = misspec.merge_reports(group_reports, alpha, cond_source)
         if all(s == signs[0] for s in signs) and signs[0] != 0:
             raw_sign = signs[0]
         else:
@@ -409,7 +374,7 @@ def cmd_analyze_table(args) -> str:
         direction=int(np.sign(comparison.diff)),
         p_value=comparison.p_value,
     )
-    marginal_report = verdict.adequacy_from_homogeneity(agg_verdict.homogeneity, source=marginal_source)
+    marginal_report = verdict.adequacy_from_homogeneity(agg_verdict, source=marginal_source)
 
     stratum_signs = [int(np.sign(r0 - r1)) for _, r0, r1 in agg_verdict.per_stratum]
     nonzero = [s for s in stratum_signs if s != 0]

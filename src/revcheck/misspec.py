@@ -119,18 +119,48 @@ class CorrectedCorrelation:
 class MisspecReport:
     """Battery outcome: one status per assumption plus the raw evidence.
 
-    p_values holds the decisive p per assumption (the smallest across the
-    checks that informed it), or None where untested. overall_adequate is
-    true exactly when no assumption is marked fail; untested assumptions do
-    not count as passes and are surfaced to the verdict layer separately.
+    assess_assumptions sets each status and p from the checks behind the
+    assumption: p_values holds the smallest p over those checks, or None
+    where untested. A report merged over groups fails an assumption that
+    fails in any group and leaves untested, with no p, one that any group
+    left untested. overall_adequate is true exactly when no assumption is
+    marked fail; untested assumptions do not count as passes and are
+    surfaced to the verdict layer separately.
     """
 
     per_assumption: dict
     p_values: dict
     evidence: tuple
-    overall_adequate: bool
     degenerate: bool = False
     source: str = ""
+
+    @property
+    def overall_adequate(self) -> bool:
+        return FAIL not in self.per_assumption.values()
+
+
+def assess_assumptions(checks: dict, alpha: float) -> tuple:
+    """Each assumption's status and p from the p-values of its checks.
+
+    checks maps each assumption label to the p-values of the checks behind
+    it; a None entry stands for evidence that could not be gathered, such as
+    a group whose battery left the assumption untested. An assumption fails
+    when its smallest p is below alpha, passes when at least one check ran
+    and no evidence is missing, and is otherwise untested, with p None.
+    The p of a pass or a fail is the smallest p. Returns the statuses and
+    the p-values, each a dict keyed like checks.
+    """
+    statuses, p_values = {}, {}
+    for label, ps in checks.items():
+        ran = [float(p) for p in ps if p is not None]
+        smallest = min(ran, default=None)
+        if smallest is not None and smallest < alpha:
+            statuses[label], p_values[label] = FAIL, smallest
+        elif ran and len(ran) == len(ps):
+            statuses[label], p_values[label] = PASS, smallest
+        else:
+            statuses[label], p_values[label] = UNTESTED, None
+    return statuses, p_values
 
 
 def _require_live_fit(base: FitResult) -> None:
@@ -235,7 +265,7 @@ def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> Auxili
     return _added_terms_f(base.residuals, [data.column(name)[rows] for name in regressors], added)
 
 
-def linearity_check(data: Dataset, base: FitResult, alpha: float = 0.05) -> AuxiliaryResult:
+def linearity_check(data: Dataset, base: FitResult) -> AuxiliaryResult:
     """Probe for curvature: residuals on regressors plus squared regressors.
 
     Squares of two-valued (dummy) regressors are skipped since they carry
@@ -437,17 +467,6 @@ def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConf
     return _corrected(x, y, cfg)[0]
 
 
-def _untested_report(source: str, degenerate: bool, assumptions: tuple = ASSUMPTIONS) -> MisspecReport:
-    return MisspecReport(
-        per_assumption={a: UNTESTED for a in assumptions},
-        p_values={a: None for a in assumptions},
-        evidence=(),
-        overall_adequate=True,
-        degenerate=degenerate,
-        source=source,
-    )
-
-
 # What a check raises when it cannot run on the data at hand: run_battery
 # then leaves its assumption untested. Any other error propagates.
 _CANNOT_RUN = (
@@ -470,22 +489,13 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
     A degenerate base fit short-circuits: every assumption is untested and
     the report carries the degenerate flag.
     """
+    norm_label, lin_label, hom_label, indep_label, invar_label = ASSUMPTIONS
+    checks = {label: [] for label in ASSUMPTIONS}
     if base.degenerate:
-        return _untested_report(source, degenerate=True)
+        statuses, p_values = assess_assumptions(checks, cfg.alpha)
+        return MisspecReport(statuses, p_values, (), degenerate=True, source=source)
 
-    alpha = cfg.alpha
-    statuses = {a: UNTESTED for a in ASSUMPTIONS}
-    p_values = {a: None for a in ASSUMPTIONS}
     evidence = []
-
-    def record(label: str, p: float) -> None:
-        if p_values[label] is None or p < p_values[label]:
-            p_values[label] = float(p)
-        if p < alpha:
-            statuses[label] = FAIL
-        elif statuses[label] != FAIL:
-            statuses[label] = PASS
-
     names = cfg.orderings_to_test or tuple(data.orderings)
     ordering_vars = []
     for name in names:
@@ -493,36 +503,32 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
     time_orderings = [o.name for o in ordering_vars if o.kind == "time"]
     group_orderings = [o.name for o in ordering_vars if o.kind != "time"]
 
-    norm_label, lin_label, hom_label, indep_label, invar_label = ASSUMPTIONS
-
     try:
-        check = normality_check(base.residuals, alpha=alpha)
+        check = normality_check(base.residuals, alpha=cfg.alpha)
         evidence.append(("normality", check))
-        record(norm_label, check.p)
+        checks[norm_label].append(check.p)
     except _CANNOT_RUN:
         pass
 
     try:
-        aux = linearity_check(data, base, alpha=alpha)
+        aux = linearity_check(data, base)
         evidence.append(("linearity", aux))
-        record(lin_label, aux.joint_p)
+        checks[lin_label].append(aux.joint_p)
     except _CANNOT_RUN:
         pass
 
-    ran_grouped_variance = False
     for name in group_orderings:
         try:
-            check = homoskedasticity_check(data, base, ordering=name, alpha=alpha)
+            check = homoskedasticity_check(data, base, ordering=name, alpha=cfg.alpha)
         except _CANNOT_RUN:
             continue
         evidence.append((f"variance-ratio({name})", check))
-        record(hom_label, check.p)
-        ran_grouped_variance = True
-    if not ran_grouped_variance:
+        checks[hom_label].append(check.p)
+    if not checks[hom_label]:
         try:
-            check = homoskedasticity_check(data, base, alpha=alpha)
+            check = homoskedasticity_check(data, base, alpha=cfg.alpha)
             evidence.append(("variance-regression", check))
-            record(hom_label, check.p)
+            checks[hom_label].append(check.p)
         except _CANNOT_RUN:
             pass
 
@@ -530,8 +536,8 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         try:
             aux = auxiliary_trend_lag_test(data, base, cfg)
             evidence.append(("trend-lag", aux))
-            record(indep_label, aux.joint_p)
-            record(invar_label, aux.joint_p)
+            checks[indep_label].append(aux.joint_p)
+            checks[invar_label].append(aux.joint_p)
         except _CANNOT_RUN:
             pass
 
@@ -541,14 +547,26 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         except _CANNOT_RUN:
             continue
         evidence.append((f"ordering-shift({name})", aux))
-        record(invar_label, aux.joint_p)
+        checks[invar_label].append(aux.joint_p)
 
-    overall = all(status != FAIL for status in statuses.values())
+    statuses, p_values = assess_assumptions(checks, cfg.alpha)
+    return MisspecReport(statuses, p_values, tuple(evidence), source=source)
+
+
+def merge_reports(reports: list, alpha: float, source: str = "") -> MisspecReport:
+    """One report for fits made group by group, from each group's report.
+
+    Each group contributes its p for an assumption, or None where its
+    battery left the assumption untested, so a failure in any group fails
+    the assumption and an assumption untested in any group is otherwise
+    untested. The evidence is every group's, in order.
+    """
+    checks = {label: [report.p_values[label] for report in reports] for label in reports[0].per_assumption}
+    statuses, p_values = assess_assumptions(checks, alpha)
     return MisspecReport(
-        per_assumption=statuses,
-        p_values=p_values,
-        evidence=tuple(evidence),
-        overall_adequate=overall,
-        degenerate=False,
+        statuses,
+        p_values,
+        tuple(item for report in reports for item in report.evidence),
+        degenerate=any(report.degenerate for report in reports),
         source=source,
     )

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, MismatchedInputs
-from .misspec import FAIL, PASS, UNTESTED, MisspecReport, _untested_report
+from .misspec import FAIL, UNTESTED, MisspecReport, assess_assumptions
 from .regression import FitResult
 
 SCHEMA = "reversal-report/1"
@@ -165,41 +165,27 @@ def classify(
     return ReversalVerdict(CASE1, pair, marginal_report, conditional_report, alpha, rationale)
 
 
-def adequacy_from_homogeneity(homogeneity: dict, source: str = "") -> MisspecReport:
+def adequacy_from_homogeneity(aggregate, source: str = "") -> MisspecReport:
     """Adequacy report for an aggregate Bernoulli comparison.
 
-    The aggregate model treats each group as one Bernoulli sequence; a
-    failed constant-rate check across strata invalidates its constant mean
-    and, with it, the constant variance ([2] and [3]). The Bernoulli shape
+    aggregate is the bernoulli.AggregateVerdict of the tables. The
+    aggregate model treats each group as one Bernoulli sequence; a failed
+    constant-rate check across strata invalidates its constant mean and,
+    with it, the constant variance ([2] and [3]), so both rest on every
+    group's homogeneity p at the verdict's alpha. The Bernoulli shape
     itself and independence are not testable from the table counts.
     """
-    statuses = {a: UNTESTED for a in BERNOULLI_ASSUMPTIONS}
-    p_values = {a: None for a in BERNOULLI_ASSUMPTIONS}
-    evidence = []
-    if homogeneity:
-        any_fail = any(not result.id_holds for result in homogeneity.values())
-        min_p = min(result.p_value for result in homogeneity.values())
-        status = FAIL if any_fail else PASS
-        statuses["[2] constant mean"] = status
-        statuses["[3] constant variance"] = status
-        p_values["[2] constant mean"] = float(min_p)
-        p_values["[3] constant variance"] = float(min_p)
-        for label, result in homogeneity.items():
-            evidence.append((f"homogeneity({label})", result))
-    overall = all(status != FAIL for status in statuses.values())
-    return MisspecReport(
-        per_assumption=statuses,
-        p_values=p_values,
-        evidence=tuple(evidence),
-        overall_adequate=overall,
-        degenerate=False,
-        source=source,
-    )
+    homogeneity_ps = [result.p_value for result in aggregate.homogeneity.values()]
+    checks = {label: [] for label in BERNOULLI_ASSUMPTIONS}
+    checks["[2] constant mean"] = checks["[3] constant variance"] = homogeneity_ps
+    statuses, p_values = assess_assumptions(checks, aggregate.alpha)
+    evidence = tuple((f"homogeneity({label})", result) for label, result in aggregate.homogeneity.items())
+    return MisspecReport(statuses, p_values, evidence, source=source)
 
 
 def untested_adequacy(assumptions: tuple = BERNOULLI_ASSUMPTIONS, source: str = "") -> MisspecReport:
     """A report whose every assumption is untested (nothing ran)."""
-    return _untested_report(source, degenerate=False, assumptions=assumptions)
+    return MisspecReport({a: UNTESTED for a in assumptions}, {a: None for a in assumptions}, (), source=source)
 
 
 def _fmt(value: float, decimals: int = 3) -> str:
@@ -323,14 +309,7 @@ def verdict_from_json(text: str) -> ReversalVerdict:
     def report(payload: dict, source: str) -> MisspecReport:
         statuses = {label: entry["status"] for label, entry in payload.items()}
         p_values = {label: entry["p_value"] for label, entry in payload.items()}
-        return MisspecReport(
-            per_assumption=statuses,
-            p_values=p_values,
-            evidence=(),
-            overall_adequate=all(status != FAIL for status in statuses.values()),
-            degenerate=False,
-            source=source,
-        )
+        return MisspecReport(per_assumption=statuses, p_values=p_values, evidence=(), source=source)
 
     pair = AssociationPair(
         marginal=side(obj["marginal"]),

@@ -23,6 +23,7 @@ from revcheck.misspec import (
     corrected_correlation,
     homoskedasticity_check,
     linearity_check,
+    merge_reports,
     normality_check,
     ordering_shift_test,
     run_battery,
@@ -322,7 +323,7 @@ def test_criterion_08_two_group_reversal_pipeline():
         if ordering_shift_test(data, pooled, "group").joint_p < 0.05:
             shift_hits += 1
         marginal_report = run_battery(data, pooled, cfg, source="pooled regression")
-        conditional_report = cli._merge_reports(group_reports, "within-group regressions")
+        conditional_report = merge_reports(group_reports, cfg.alpha, "within-group regressions")
         directions = {int(np.sign(r.coefficients[r.index_of("x")])) for r in group_fits}
         conditional = AssociationSide(
             "within-group regressions",

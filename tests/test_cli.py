@@ -128,6 +128,63 @@ def test_analyze_regression_corrected_correlation(trending_csv, capsys):
     assert "detrended (degree 3) and dememorized (2 lags) both series" in out
 
 
+def test_corrected_analysis_takes_any_time_ordering_name(trending_csv, tmp_path, capsys):
+    # README's Yule series names its time column `year`; the name must not
+    # matter, and neither may a group ordering declared beside it.
+    lines = open(trending_csv).read().splitlines()
+    renamed = write_csv(tmp_path / "year.csv", "\n".join(["year" + lines[0][1:]] + lines[1:]) + "\n")
+    grouped = write_csv(
+        tmp_path / "grouped.csv",
+        "\n".join([lines[0] + ",g"] + [line + f",{i % 2}" for i, line in enumerate(lines[1:])]) + "\n",
+    )
+    base = ["--output", "json", "analyze-regression"]
+    flags = ["--response", "y", "--regressors", "x"]
+    code, named_t, _ = run(base + [trending_csv] + flags + ["--ordering", "t:time"], capsys)
+    assert code == 0
+    code, named_year, err = run(base + [renamed] + flags + ["--ordering", "year:time"], capsys)
+    assert (code, err) == (0, "")
+    assert named_year == named_t
+    code, out, err = run(
+        base + [grouped] + flags + ["--ordering", "t:time", "--ordering", "g:binary_group"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["conditional"] == json.loads(named_t)["conditional"]
+
+
+def test_yule_series_corrected_analysis(yule_csv, capsys):
+    code, out, err = run(
+        ["--output", "json", "analyze-regression", str(yule_csv), "--response", "mortality",
+         "--regressors", "marriage_ratio", "--ordering", "year:time"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["conditional"]["source"] == "corrected correlation"
+    assert payload["marginal"]["source"] == "fit mortality ~ marriage_ratio"
+
+
+def test_by_group_untested_assumption_has_no_p(tmp_path, capsys):
+    # Group 0's two-valued regressor has no squared term, so its linearity
+    # is untested; merged with group 1's pass, the assumption stays
+    # untested and so has no p.
+    rng = np.random.default_rng(0)
+    x = np.r_[np.tile([0.0, 1.0], 20), rng.standard_normal(40)]
+    y = 1.0 + 0.5 * x + rng.standard_normal(80)
+    g = np.repeat([0.0, 1.0], 40)
+    rows = "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(g.tolist(), x.tolist(), y.tolist()))
+    path = write_csv(tmp_path / "bg.csv", "g,x,y\n" + rows)
+    argv = ["analyze-regression", path, "--response", "y", "--regressors", "x",
+            "--ordering", "g", "--by-group", "g"]
+    code, out, _ = run(["--output", "json"] + argv, capsys)
+    assert code == 0
+    linearity = json.loads(out)["assumptions"]["conditional"]["[2] linearity"]
+    assert linearity == {"status": "untested", "p_value": None}
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    conditional = out.split("Assumptions (conditional):\n")[1]
+    assert "  [2] linearity: untested\n" in conditional
+
+
 def test_corrected_analysis_cleans_each_series_once(trending_csv, capsys, monkeypatch):
     # The cleaned series feed both the corrected correlation and the
     # conditional battery; each series is detrended and dememorized once.

@@ -19,12 +19,15 @@ from revcheck.misspec import (
     PASS,
     UNTESTED,
     BatteryConfig,
+    MisspecReport,
+    assess_assumptions,
     auxiliary_trend_lag_test,
     corrected_correlation,
     dememorize,
     detrend,
     homoskedasticity_check,
     linearity_check,
+    merge_reports,
     normality_check,
     ordering_shift_test,
     run_battery,
@@ -482,6 +485,56 @@ def test_run_battery_respects_alpha():
     assert not strict.overall_adequate  # nearly everything fails at alpha ~ 1
     lax = run_battery(data, base, BatteryConfig(alpha=1e-12))
     assert lax.overall_adequate
+
+
+def group_report(status, p):
+    return MisspecReport(per_assumption={"[2] linearity": status}, p_values={"[2] linearity": p}, evidence=())
+
+
+@pytest.mark.parametrize(
+    "merged, checks, status, p",
+    [
+        (False, [], UNTESTED, None),
+        (False, [0.3], PASS, 0.3),
+        (False, [0.05, 0.2, 0.7], PASS, 0.05),
+        (False, [0.6, 0.01, 0.2], FAIL, 0.01),
+        (False, [0.049], FAIL, 0.049),
+        # Merged over groups: each group gives its p, or None where untested.
+        (True, [(FAIL, 0.01), (UNTESTED, None)], FAIL, 0.01),
+        (True, [(UNTESTED, None), (PASS, 0.376)], UNTESTED, None),
+        (True, [(PASS, 0.4), (PASS, 0.2)], PASS, 0.2),
+        (True, [(PASS, 0.4), (FAIL, 0.03)], FAIL, 0.03),
+        (True, [(UNTESTED, None), (UNTESTED, None)], UNTESTED, None),
+        # The homogeneity p of each group behind [2] and [3] of a table.
+        (False, [0.051, 0.6], PASS, 0.051),
+        (False, [0.6, 0.0499], FAIL, 0.0499),
+    ],
+)
+def test_one_rule_decides_status_and_p(merged, checks, status, p):
+    label = "[2] linearity"
+    if merged:
+        reports = [group_report(*entry) for entry in checks]
+        report = merge_reports(reports, 0.05, source="per-group fits")
+        statuses, p_values = report.per_assumption, report.p_values
+        assert report.source == "per-group fits"
+        assert report.overall_adequate == (status != FAIL)
+    else:
+        statuses, p_values = assess_assumptions({label: checks}, 0.05)
+    assert statuses == {label: status}
+    assert p_values == {label: p}
+
+
+def test_merge_keeps_every_group_label_evidence_and_degenerate_flag():
+    data = iid_dataset(65, orderings="none")
+    report = run_battery(data, fit(data, SPEC), BatteryConfig())
+    degenerate = Dataset(columns={"y": np.arange(8.0), "x": np.arange(8.0)}, orderings={})
+    flat = run_battery(degenerate, fit(degenerate, SPEC), BatteryConfig())
+    merged = merge_reports([report, flat], 0.05)
+    assert list(merged.per_assumption) == list(misspec.ASSUMPTIONS)
+    assert merged.evidence == report.evidence
+    assert merged.degenerate
+    assert all(status == UNTESTED for status in merged.per_assumption.values())
+    assert all(p is None for p in merged.p_values.values())
 
 
 def test_importing_revcheck_leaves_scipy_stats_unloaded(tmp_path):

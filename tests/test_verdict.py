@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from revcheck.bernoulli import homogeneity_test, stratified_tables_from_json
+from revcheck.bernoulli import aggregate_verdict, stratified_tables_from_json
 from revcheck.errors import InvalidSpec, MismatchedInputs
 from revcheck.fixtures import load_json
 from revcheck.misspec import ASSUMPTIONS, FAIL, PASS, UNTESTED, MisspecReport
@@ -37,7 +37,6 @@ def make_report(overrides=None, source=""):
         per_assumption=statuses,
         p_values=p_values,
         evidence=(),
-        overall_adequate=all(s != FAIL for s in statuses.values()),
         degenerate=False,
         source=source,
     )
@@ -190,9 +189,10 @@ def test_format_fit_layout():
 
 
 def test_adequacy_from_homogeneity_mapping():
-    tables = stratified_tables_from_json(load_json("lindley_novick.json"))
-    homogeneity = {label: homogeneity_test(tables, col) for col, label in enumerate(("white", "black"))}
-    report = adequacy_from_homogeneity(homogeneity, source="aggregate rate comparison")
+    aggregate = aggregate_verdict(stratified_tables_from_json(load_json("lindley_novick.json")))
+    homogeneity = aggregate.homogeneity
+    assert set(homogeneity) == {"white", "black"}
+    report = adequacy_from_homogeneity(aggregate, source="aggregate rate comparison")
     assert report.per_assumption["[2] constant mean"] == FAIL
     assert report.per_assumption["[3] constant variance"] == FAIL
     assert report.per_assumption["[1] Bernoulli outcome"] == UNTESTED
@@ -217,12 +217,23 @@ def test_adequacy_from_homogeneity_passing_case():
         ],
         "complete": True,
     }
-    tables = stratified_tables_from_json(obj)
-    homogeneity = {label: homogeneity_test(tables, col) for col, label in enumerate(("left", "right"))}
-    report = adequacy_from_homogeneity(homogeneity)
+    report = adequacy_from_homogeneity(aggregate_verdict(stratified_tables_from_json(obj)))
     assert report.per_assumption["[2] constant mean"] == PASS
     assert report.per_assumption["[3] constant variance"] == PASS
     assert report.overall_adequate
+
+
+@pytest.mark.parametrize("alpha, status", [(0.05, FAIL), (0.0254, FAIL), (0.0253, PASS), (0.01, PASS)])
+def test_adequacy_from_homogeneity_decides_at_the_verdicts_alpha(alpha, status):
+    # Lindley-Novick's homogeneity p-values are .0285 and .0253 (the smaller).
+    aggregate = aggregate_verdict(stratified_tables_from_json(load_json("lindley_novick.json")), alpha=alpha)
+    report = adequacy_from_homogeneity(aggregate)
+    smallest = min(result.p_value for result in aggregate.homogeneity.values())
+    for label in ("[2] constant mean", "[3] constant variance"):
+        assert report.per_assumption[label] == status
+        assert report.p_values[label] == smallest
+    assert report.per_assumption["[1] Bernoulli outcome"] == UNTESTED
+    assert report.p_values["[1] Bernoulli outcome"] is None
 
 
 def test_untested_adequacy_report():
