@@ -69,14 +69,11 @@ class BatteryConfig:
     trend_degree controls the detrending polynomial; the trend block of the
     auxiliary regression uses powers 1 .. trend_degree - 1. lag_count is
     the number of lags both for the auxiliary regression and dememorize.
-    orderings_to_test names the dataset orderings to probe; empty means
-    every declared ordering.
     """
 
     alpha: float = 0.05
     trend_degree: int = 3
     lag_count: int = 2
-    orderings_to_test: tuple = ()
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -85,16 +82,14 @@ class BatteryConfig:
             raise InvalidSpec("trend_degree must be >= 1")
         if self.lag_count < 1:
             raise InvalidSpec("lag_count must be >= 1")
-        object.__setattr__(self, "orderings_to_test", tuple(self.orderings_to_test))
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A scalar diagnostic: statistic, p-value, and the pass decision."""
+    """A scalar diagnostic: its statistic and p-value."""
 
     stat: float
     p: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -312,13 +307,13 @@ def _k2(u: np.ndarray) -> tuple:
     return float(stat), float(special.chdtrc(2, stat))
 
 
-def normality_check(residuals, alpha: float = 0.05) -> CheckResult:
+def normality_check(residuals) -> CheckResult:
     """D'Agostino-Pearson K^2 omnibus test of residual normality (chi^2, 2 df).
 
     Combines the skewness test of D'Agostino, Belanger & D'Agostino (1990,
     The American Statistician 44:316) with the kurtosis test of Anscombe &
     Glynn (1983, Biometrika 70:227). Where the kurtosis transform is
-    undefined, stat and p are NaN and the check fails.
+    undefined, stat and p are NaN.
 
     Raises:
         MismatchedInputs: if the residuals are not one-dimensional.
@@ -335,10 +330,10 @@ def normality_check(residuals, alpha: float = 0.05) -> CheckResult:
     if _flat(u):
         raise DegenerateData("residuals are numerically constant")
     stat, p = _k2(u)
-    return CheckResult(stat=stat, p=p, passed=bool(p >= alpha))
+    return CheckResult(stat=stat, p=p)
 
 
-def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str, alpha: float) -> CheckResult:
+def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     ordering_var = data.ordering(ordering)
     if ordering_var.kind == "time":
         raise InvalidSpec("grouped variance check needs a group ordering")
@@ -355,20 +350,18 @@ def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str, alpha: 
         raise DegenerateData("a group has zero residual variance")
     f_stat = variances[0] / variances[1]
     p = tail_prob(FisherF(dfs[0], dfs[1]), f_stat, "two")
-    return CheckResult(stat=float(f_stat), p=float(p), passed=bool(p >= alpha))
+    return CheckResult(stat=float(f_stat), p=float(p))
 
 
-def _squared_residual_regression(data: Dataset, base: FitResult, alpha: float) -> CheckResult:
+def _squared_residual_regression(data: Dataset, base: FitResult) -> CheckResult:
     added = [(name, column) for name, column, _ in _regressor_terms(data, base)]
     if not added:
         raise InvalidSpec("no regressors available for the variance regression")
     aux = _added_terms_f(base.residuals**2, [], added)
-    return CheckResult(stat=aux.joint_f_stat, p=aux.joint_p, passed=bool(aux.joint_p >= alpha))
+    return CheckResult(stat=aux.joint_f_stat, p=aux.joint_p)
 
 
-def homoskedasticity_check(
-    data: Dataset, base: FitResult, ordering: str = None, alpha: float = 0.05
-) -> CheckResult:
+def homoskedasticity_check(data: Dataset, base: FitResult, ordering: str = None) -> CheckResult:
     """Probe for unequal residual variance.
 
     With a two-level group ordering: the model is refit inside each group
@@ -379,8 +372,8 @@ def homoskedasticity_check(
     """
     _require_live_fit(base)
     if ordering is not None:
-        return _group_variance_ratio(data, base, ordering, alpha)
-    return _squared_residual_regression(data, base, alpha)
+        return _group_variance_ratio(data, base, ordering)
+    return _squared_residual_regression(data, base)
 
 
 def _flat(values: np.ndarray):
@@ -496,15 +489,12 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         return MisspecReport(statuses, p_values, (), degenerate=True, source=source)
 
     evidence = []
-    names = cfg.orderings_to_test or tuple(data.orderings)
-    ordering_vars = []
-    for name in names:
-        ordering_vars.append(data.ordering(name))
+    ordering_vars = [data.ordering(name) for name in data.orderings]
     time_orderings = [o.name for o in ordering_vars if o.kind == "time"]
     group_orderings = [o.name for o in ordering_vars if o.kind != "time"]
 
     try:
-        check = normality_check(base.residuals, alpha=cfg.alpha)
+        check = normality_check(base.residuals)
         evidence.append(("normality", check))
         checks[norm_label].append(check.p)
     except _CANNOT_RUN:
@@ -519,14 +509,14 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
 
     for name in group_orderings:
         try:
-            check = homoskedasticity_check(data, base, ordering=name, alpha=cfg.alpha)
+            check = homoskedasticity_check(data, base, ordering=name)
         except _CANNOT_RUN:
             continue
         evidence.append((f"variance-ratio({name})", check))
         checks[hom_label].append(check.p)
     if not checks[hom_label]:
         try:
-            check = homoskedasticity_check(data, base, alpha=cfg.alpha)
+            check = homoskedasticity_check(data, base)
             evidence.append(("variance-regression", check))
             checks[hom_label].append(check.p)
         except _CANNOT_RUN:

@@ -301,7 +301,7 @@ def test_criterion_07_naive_test_oversize_under_trend():
 
 def test_criterion_08_two_group_reversal_pipeline():
     spec = ModelSpec(response="y", regressors=("x",))
-    cfg = BatteryConfig(orderings_to_test=("group",))
+    cfg = BatteryConfig()
     pattern = 0
     shift_hits = 0
     case2 = 0
