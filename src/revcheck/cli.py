@@ -152,69 +152,70 @@ def _direction(sign_value: float) -> int:
 # ---------------------------------------------------------------- regression
 
 
-def _read_csv_columns(path: str) -> dict:
+def _read_dataset(path: str, ordering_specs: list) -> Dataset:
+    """The CSV at path as a Dataset, its --ordering columns declared.
+
+    Each column is converted to floats once; an ordering without a kind is
+    binary if its values are all 0 or 1, time if they strictly increase, and
+    otherwise categorical, which keeps the stripped cell text. Only a column
+    that does not convert can hold a blank cell, so only such columns are
+    scanned for one.
+    """
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InvalidSpec(f"{path} is empty") from None
+            header = next(reader, None)
+            if header is None:
+                raise InvalidSpec(f"{path} is empty")
             rows = list(reader)
     except OSError as exc:
         raise InvalidSpec(f"cannot read {path}: {exc}") from None
     if len(set(header)) != len(header):
         raise InvalidSpec("duplicate column names in CSV header")
-    columns = {name: [] for name in header}
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InvalidSpec(f"row {i} has {len(row)} fields, expected {len(header)}")
-        for name, cell in zip(header, row):
-            if cell.strip() == "":
-                raise InvalidSpec(f"blank value in column {name!r}, row {i}")
-            columns[name].append(cell.strip())
+    # Rows before the first ragged one; a blank cell among them is reported first.
+    n = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    cells = dict(zip(header, zip(*rows[:n])))
+    floats, blanks = {}, []
+    for position, (name, column) in enumerate(cells.items()):
+        try:
+            floats[name] = np.fromiter(map(float, column), float, n)
+        except ValueError:
+            row = next((i for i, cell in enumerate(column) if not cell.strip()), None)
+            if row is not None:
+                blanks.append((row, position, name))
+    if blanks:
+        row, _, name = min(blanks)
+        raise InvalidSpec(f"blank value in column {name!r}, row {row + 2}")
+    if n < len(rows):
+        raise InvalidSpec(f"row {n + 2} has {len(rows[n])} fields, expected {len(header)}")
     if not rows:
         raise InvalidSpec(f"{path} has a header but no rows")
-    return columns
-
-
-def _infer_ordering_kind(values: list) -> str:
-    try:
-        numeric = np.array([float(v) for v in values])
-    except ValueError:
-        return "categorical"
-    if set(np.unique(numeric)) <= {0.0, 1.0}:
-        return "binary_group"
-    if np.all(np.diff(numeric) > 0):
-        return "time"
-    return "categorical"
-
-
-def _build_dataset(raw: dict, ordering_specs: list) -> Dataset:
-    declared = {}
+    orderings = {}
     for spec_text in ordering_specs:
         name, _, kind = spec_text.partition(":")
-        if name not in raw:
+        if name not in cells:
             raise UnknownColumn(f"ordering column {name!r} not in the CSV")
-        values = raw[name]
-        kind = kind or _infer_ordering_kind(values)
-        if kind in ("time", "binary_group"):
-            try:
-                parsed = np.array([float(v) for v in values])
-            except ValueError:
-                raise InvalidSpec(f"ordering {name!r} declared {kind} but is not numeric") from None
-        else:
-            parsed = np.array(values, dtype=object)
-        declared[name] = OrderingVariable(name, kind, parsed)
-    columns = {}
-    for name, values in raw.items():
-        if name in declared:
-            continue
-        try:
-            columns[name] = np.array([float(v) for v in values])
-        except ValueError as exc:
-            raise InvalidSpec(f"column {name!r} is not numeric: {exc}") from None
-    return Dataset(columns=columns, orderings=declared)
+        values = floats.get(name)
+        if not kind:
+            if values is not None and set(np.unique(values)) <= {0.0, 1.0}:
+                kind = "binary_group"
+            elif values is not None and np.all(np.diff(values) > 0):
+                kind = "time"
+            else:
+                kind = "categorical"
+        if kind not in ("time", "binary_group"):
+            values = np.array([cell.strip() for cell in cells[name]], dtype=object)
+        elif values is None:
+            raise InvalidSpec(f"ordering {name!r} declared {kind} but is not numeric")
+        orderings[name] = OrderingVariable(name, kind, values)
+    for name in header:
+        if name not in orderings and name not in floats:
+            for cell in cells[name]:
+                try:
+                    float(cell.strip())
+                except ValueError as exc:
+                    raise InvalidSpec(f"column {name!r} is not numeric: {exc}") from None
+    return Dataset(columns={name: floats[name] for name in header if name not in orderings}, orderings=orderings)
 
 
 def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
@@ -244,9 +245,22 @@ def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: mi
     return corrected, report, source
 
 
+def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: str, source: str):
+    """(fit, x1 coefficient, its p, battery report) of one fitted side.
+
+    x1 is the first regressor; subject names the fit in the message for a
+    numerically exact fit, and source labels the battery's report.
+    """
+    side_fit = fit(data, ModelSpec(response=response, regressors=regressors))
+    if side_fit.degenerate:
+        raise DegenerateData(f"{subject} has a numerically exact fit")
+    idx = side_fit.index_of(regressors[0])
+    report = misspec.run_battery(data, side_fit, cfg, source=source)
+    return side_fit, float(side_fit.coefficients[idx]), float(side_fit.p_values[idx]), report
+
+
 def cmd_analyze_regression(args) -> str:
-    raw = _read_csv_columns(args.csv_path)
-    data = _build_dataset(raw, args.ordering)
+    data = _read_dataset(args.csv_path, args.ordering)
     if len(args.regressors) not in (1, 2):
         raise InvalidSpec("give one or two regressor columns")
     response = args.response
@@ -255,13 +269,9 @@ def cmd_analyze_regression(args) -> str:
     cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=args.trend_degree, lag_count=args.lags)
 
     marginal_source = f"fit {response} ~ {x1}"
-    marginal_fit = fit(data, ModelSpec(response=response, regressors=(x1,)))
-    if marginal_fit.degenerate:
-        raise DegenerateData(f"{marginal_source} has a numerically exact fit")
-    slope_idx = marginal_fit.index_of(x1)
-    slope = float(marginal_fit.coefficients[slope_idx])
-    slope_p = float(marginal_fit.p_values[slope_idx])
-    marginal_report = misspec.run_battery(data, marginal_fit, cfg, source=marginal_source)
+    marginal_fit, slope, slope_p, marginal_report = _fitted_side(
+        data, response, (x1,), cfg, marginal_source, marginal_source
+    )
     marginal_side = verdict.AssociationSide(
         source=marginal_source, direction=_direction(slope), p_value=slope_p
     )
@@ -280,13 +290,9 @@ def cmd_analyze_regression(args) -> str:
     if len(args.regressors) == 2:
         x2 = args.regressors[1]
         cond_source = f"fit {response} ~ {x1} + {x2}"
-        cond_fit = fit(data, ModelSpec(response=response, regressors=(x1, x2)))
-        if cond_fit.degenerate:
-            raise DegenerateData(f"{cond_source} has a numerically exact fit")
-        idx = cond_fit.index_of(x1)
-        cond_sign = float(cond_fit.coefficients[idx])
-        cond_p = float(cond_fit.p_values[idx])
-        conditional_report = misspec.run_battery(data, cond_fit, cfg, source=cond_source)
+        cond_fit, cond_sign, cond_p, conditional_report = _fitted_side(
+            data, response, (x1, x2), cfg, cond_source, cond_source
+        )
         conditional_side = verdict.AssociationSide(
             source=cond_source, direction=_direction(cond_sign), p_value=cond_p
         )
@@ -303,13 +309,11 @@ def cmd_analyze_regression(args) -> str:
         group_fits, group_reports, signs, ps = [], [], [], []
         for level in levels:
             g_data = data.take(np.flatnonzero(ordering.values == level))
-            g_fit = fit(g_data, ModelSpec(response=response, regressors=(x1,)))
-            if g_fit.degenerate:
-                raise DegenerateData(f"group {level!r} has a numerically exact fit")
-            g_report = misspec.run_battery(g_data, g_fit, cfg, source=cond_source)
-            idx = g_fit.index_of(x1)
-            signs.append(float(np.sign(g_fit.coefficients[idx])))
-            ps.append(float(g_fit.p_values[idx]))
+            g_fit, g_coef, g_p, g_report = _fitted_side(
+                g_data, response, (x1,), cfg, f"group {level!r}", cond_source
+            )
+            signs.append(float(np.sign(g_coef)))
+            ps.append(g_p)
             group_fits.append((level, g_fit))
             group_reports.append(g_report)
         conditional_report = misspec.merge_reports(group_reports, alpha, cond_source)
@@ -426,26 +430,11 @@ def cmd_analyze_table(args) -> str:
 
 
 def _write_csv(data: Dataset, out: str, column_order: list) -> str:
-    rows = []
-    header = []
-    series = []
-    for name in column_order:
-        header.append(name)
-        if name in data.orderings:
-            series.append(data.orderings[name].values)
-        else:
-            series.append(data.column(name))
+    # Every column and ordering that simulate writes holds floats.
+    series = [data.orderings[name].values if name in data.orderings else data.column(name) for name in column_order]
     n = data.n
-    lines = [",".join(header)]
-    for i in range(n):
-        cells = []
-        for values in series:
-            value = values[i]
-            try:
-                cells.append(repr(float(value)))
-            except (TypeError, ValueError):
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    lines = [",".join(column_order)]
+    lines.extend(",".join(repr(float(value)) for value in row) for row in zip(*series))
     text = "\n".join(lines) + "\n"
     if out == "-":
         return text

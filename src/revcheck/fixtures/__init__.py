@@ -9,7 +9,11 @@ from pathlib import Path
 
 
 def fixture_path(name: str) -> Path:
-    """Path of a bundled fixture file; raises FileNotFoundError if absent."""
+    """Path of a bundled fixture file; raises FileNotFoundError if absent.
+
+    Needs a flat install, where package data are files on disk: in a zipped
+    install no bundled fixture has a path. load_json works in either.
+    """
     path = Path(str(resources.files(__package__) / name))
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
@@ -17,8 +21,11 @@ def fixture_path(name: str) -> Path:
 
 
 def load_json(name: str) -> dict:
-    with open(fixture_path(name)) as handle:
-        return json.load(handle)
+    """A bundled JSON fixture, read through the package's resources."""
+    resource = resources.files(__package__) / name
+    if not resource.is_file():
+        raise FileNotFoundError(f"no bundled fixture named {name!r}")
+    return json.loads(resource.read_text(encoding="utf-8"))
 
 
 def optional_fixture(name: str) -> Path | None:

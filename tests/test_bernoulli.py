@@ -274,6 +274,33 @@ def test_bundled_fixture_copies_match_repo_root():
         assert json.loads(root_copy.read_text()) == bundled
 
 
+def test_load_json_reads_a_zipped_fixtures_package(tmp_path, monkeypatch):
+    # A zipped install has no fixture files on disk; load_json reads the
+    # bundled data through the package's resources all the same.
+    import importlib
+    import pathlib
+    import sys
+    import zipfile
+
+    import revcheck.fixtures
+
+    source = pathlib.Path(revcheck.fixtures.__file__).parent
+    archive = tmp_path / "zipped.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for name in ("__init__.py", "berkeley.json"):
+            bundle.write(source / name, f"zipped_fixtures/{name}")
+    monkeypatch.syspath_prepend(str(archive))
+    monkeypatch.delitem(sys.modules, "zipped_fixtures", raising=False)
+    try:
+        zipped = importlib.import_module("zipped_fixtures")
+        assert zipped.__file__.startswith(str(archive))
+        assert zipped.load_json("berkeley.json") == load_json("berkeley.json")
+        with pytest.raises(FileNotFoundError, match="no bundled fixture named 'missing.json'"):
+            zipped.load_json("missing.json")
+    finally:
+        sys.modules.pop("zipped_fixtures", None)
+
+
 @pytest.mark.parametrize(
     "p, shown", [(1.0, "= 1.000"), (0.9996, "= 1.000"), (0.9994, "= .999"), (0.0004, "< .001")]
 )

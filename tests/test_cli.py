@@ -237,6 +237,109 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
     assert code == 2 and "row 3" in err
 
 
+# Ingest faults, each with the message it must produce. When a file has
+# several faults, the first in this order is reported: cannot read, empty,
+# duplicate header; then a row-major scan in which a ragged row beats a blank
+# cell in the same row and a row's blank cells are named in header order;
+# then header-only; then each --ordering in turn; then the other columns in
+# header order.
+INGEST_FAULTS = {
+    "empty": ("", [], "{path} is empty"),
+    "duplicate header": ("x,x,y\n1,2\n,3,4\n", [], "duplicate column names in CSV header"),
+    "ragged": ("x,y\n1,2\n3\n", [], "row 3 has 1 fields, expected 2"),
+    "blank line": ("x,y\n1,2\n\n3,4\n", [], "row 3 has 0 fields, expected 2"),
+    "ragged beats a blank in its row": ("x,y,z\n1,2,3\n4,\n", [], "row 3 has 2 fields, expected 3"),
+    "blank before a ragged row": ("x,y\n1, \n3\n", [], "blank value in column 'y', row 2"),
+    "blanks in header order": ("x,y\n1,2\n , \n", [], "blank value in column 'x', row 3"),
+    "blanks in row order": ("x,y\n1,\n,4\n", [], "blank value in column 'y', row 2"),
+    "blank beats a non-numeric cell": ("x,y\nabc,1\n2,\n", [], "blank value in column 'y', row 3"),
+    "blank in a categorical ordering": (
+        "g,x,y\na,1,2\n,2,3\n", ["--ordering", "g"], "blank value in column 'g', row 3"
+    ),
+    "header only": ("x,y\n", ["--ordering", "nope"], "{path} has a header but no rows"),
+    "unknown ordering": ("x,y\nabc,2\n", ["--ordering", "nope"], "ordering column 'nope' not in the CSV"),
+    "time ordering not numeric": (
+        "g,x,y\na,abc,2\n",
+        ["--ordering", "g:time", "--ordering", "nope"],
+        "ordering 'g' declared time but is not numeric",
+    ),
+    "orderings in flag order": (
+        "g,x,y\na,1,2\n",
+        ["--ordering", "nope", "--ordering", "g:time"],
+        "ordering column 'nope' not in the CSV",
+    ),
+    "binary ordering not numeric": (
+        "g,x,y\na,1,2\n",
+        ["--ordering", "g:binary_group"],
+        "ordering 'g' declared binary_group but is not numeric",
+    ),
+    "columns in header order": (
+        "x,y,z\n1,2,3\n4, abc ,def\n",
+        [],
+        "column 'y' is not numeric: could not convert string to float: 'abc'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_FAULTS))
+def test_analyze_regression_ingest_messages(case, tmp_path, capsys):
+    text, flags, message = INGEST_FAULTS[case]
+    path = write_csv(tmp_path / "in.csv", text)
+    code, out, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x"] + flags, capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+def test_analyze_regression_unreadable_file(tmp_path, capsys):
+    path = str(tmp_path / "missing.csv")
+    code, out, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_analyze_regression_infers_ordering_kinds(tmp_path, capsys, monkeypatch):
+    # Values in {0, 1} are binary, strictly increasing values are time, and
+    # anything else (labels, or numbers neither binary nor increasing) is
+    # categorical and keeps the stripped cell text; a quoted label may hold
+    # the delimiter.
+    rng = np.random.default_rng(3)
+    n = 24
+    x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+    y = x1 - x2 + rng.standard_normal(n)
+    labels = ['"a, b"' if i % 2 else " c " for i in range(n)]
+    rows = "".join(
+        f"{i + 1},{i % 2},{label},{i % 3 + 1},{a!r},{b!r},{c!r}\n"
+        for i, (label, a, b, c) in enumerate(zip(labels, x1.tolist(), x2.tolist(), y.tolist()))
+    )
+    path = write_csv(tmp_path / "kinds.csv", "t,b,c,k,x1,x2,y\n" + rows)
+    seen = []
+    original = cli.fit
+
+    def recording(data, spec):
+        seen.append(data)
+        return original(data, spec)
+
+    monkeypatch.setattr(cli, "fit", recording)
+    flags = ["--ordering", "t", "--ordering", "b", "--ordering", "c", "--ordering", "k"]
+    code, _, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x1", "x2"] + flags, capsys)
+    assert (code, err) == (0, "")
+    orderings = seen[0].orderings
+    assert {name: o.kind for name, o in orderings.items()} == {
+        "t": "time", "b": "binary_group", "c": "categorical", "k": "categorical"
+    }
+    assert orderings["t"].values.tolist() == [float(i) for i in range(1, n + 1)]
+    assert orderings["b"].values.tolist() == [float(i % 2) for i in range(n)]
+    assert orderings["c"].values.tolist() == ["a, b" if i % 2 else "c" for i in range(n)]
+    assert orderings["k"].values.tolist() == [str(i % 3 + 1) for i in range(n)]
+    assert sorted(seen[0].columns) == ["x1", "x2", "y"]
+    assert seen[0].columns["y"].tolist() == y.tolist()
+    code, out, err = run(
+        ["analyze-regression", path, "--response", "y", "--regressors", "x1", "--ordering", "c", "--by-group", "c"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert "Group a, b: y = " in out and "Group c: y = " in out
+
+
 def test_analyze_regression_time_like_regressor(tmp_path, capsys):
     # year runs with time (one year skipped), so the squared-regressor and
     # variance designs are too ill-conditioned to solve: those checks are
