@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import ChiSquare, Normal, tail_prob
+from .core_stats import ChiSquare, Normal, _tail, tail_prob
 from .errors import (
     DegeneratePool,
     InvalidCounts,
@@ -139,6 +139,23 @@ class ProportionComparison:
     pooled_theta: float
 
 
+def _two_proportion_rows(counts: np.ndarray) -> tuple:
+    """Pooled two-proportion z-tests of stacked (..., 2, 2) count tables.
+
+    Returns (rates, z, p, pooled): each table's two group rates, shape
+    (..., 2), and its z, two-sided Normal p and pooled rate. Where the pooled
+    rate is 0 or 1, z and p are NaN.
+    """
+    successes = counts[..., 0, :]
+    totals = counts.sum(axis=-2)
+    rates = successes / totals
+    pooled = successes.sum(axis=-1) / totals.sum(axis=-1)
+    se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / totals[..., 0] + 1.0 / totals[..., 1]))
+    with np.errstate(invalid="ignore"):
+        z = (rates[..., 0] - rates[..., 1]) / se
+    return rates, z, _tail(Normal(), z, "two"), pooled
+
+
 def two_proportion_test(
     successes_a: int, total_a: int, successes_b: int, total_b: int, alpha: float = 0.05
 ) -> ProportionComparison:
@@ -152,16 +169,14 @@ def two_proportion_test(
     """
     if not 0 < alpha < 1:
         raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    a = estimate_theta(successes_a, total_a)
-    b = estimate_theta(successes_b, total_b)
-    pooled = (successes_a + successes_b) / (total_a + total_b)
+    estimate_theta(successes_a, total_a)  # checks the counts
+    estimate_theta(successes_b, total_b)
+    counts = np.array([[successes_a, successes_b], [total_a - successes_a, total_b - successes_b]])
+    rates, z, p, pooled = _two_proportion_rows(counts)
     if pooled in (0.0, 1.0):
         raise DegeneratePool("pooled rate is 0 or 1; the z statistic is undefined")
-    se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / total_a + 1.0 / total_b))
-    z = (a.theta_hat - b.theta_hat) / se
-    p = tail_prob(Normal(), float(z), "two")
     return ProportionComparison(
-        diff=a.theta_hat - b.theta_hat,
+        diff=float(rates[0] - rates[1]),
         z=float(z),
         p_value=float(p),
         reject=bool(p < alpha),
@@ -232,12 +247,20 @@ def homogeneity_test(tables: StratifiedTables, column, alpha: float = 0.05) -> H
 
 @dataclass(frozen=True)
 class AggregateVerdict:
-    """Trustworthiness of an aggregate two-group comparison."""
+    """Trustworthiness of an aggregate two-group comparison.
+
+    strata_direction is the sign of the sum of the strata's directions (the
+    majority of the strata that order the groups at all, 0 on a tie), and
+    strata_p_value the smallest stratum z-test p, where a stratum whose
+    pooled rate is 0 or 1 counts as p = 1.
+    """
 
     aggregate_rates: tuple
     aggregate_direction: int
     per_stratum: tuple
     flipped_strata: tuple
+    strata_direction: int
+    strata_p_value: float
     reversal_present: bool
     homogeneity: dict
     aggregate_trustworthy: bool
@@ -249,8 +272,8 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     """Judge whether the aggregate rate comparison can be taken at face value.
 
     The aggregate ordering of the two group rates is compared with each
-    stratum's ordering; a reversal is present when the majority of strata
-    order the groups the other way. The aggregate comparison itself is
+    stratum's ordering; a reversal is present when the strata's direction is
+    nonzero and opposes the aggregate's. The aggregate comparison itself is
     trustworthy only when the homogeneity test holds for both groups, i.e.
     the pooled rates are not mixtures of unequal stratum rates.
     """
@@ -261,15 +284,12 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     rate0, rate1 = agg.rate(0), agg.rate(1)
     agg_dir = int(np.sign(rate0 - rate1))
 
-    per_stratum = []
-    flipped = []
-    for name, table in tables.strata:
-        r0, r1 = table.rate(0), table.rate(1)
-        direction = int(np.sign(r0 - r1))
-        per_stratum.append((name, r0, r1))
-        if direction != 0 and agg_dir != 0 and direction != agg_dir:
-            flipped.append(name)
-    reversal = len(flipped) > len(tables.strata) / 2
+    rates, _, p, pooled = _two_proportion_rows(np.array([table.counts for _, table in tables.strata]))
+    directions = np.sign(rates[:, 0] - rates[:, 1]).astype(int).tolist()
+    strata_dir = int(np.sign(sum(directions)))
+    strata_p = float(np.where((pooled == 0.0) | (pooled == 1.0), 1.0, p).min())
+    per_stratum = [(name, r0, r1) for (name, _), (r0, r1) in zip(tables.strata, rates.tolist())]
+    flipped = [name for (name, _, _), direction in zip(per_stratum, directions) if direction * agg_dir < 0]
 
     homogeneity = {}
     trustworthy = True
@@ -293,8 +313,8 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
         lines.append("Strata ordering the groups the other way: " + ", ".join(parts) + ".")
     agreeing = [
         f"{name} ({_fmt(r0, 2)} vs {_fmt(r1, 2)})"
-        for name, r0, r1 in per_stratum
-        if name not in flipped and int(np.sign(r0 - r1)) == agg_dir
+        for (name, r0, r1), direction in zip(per_stratum, directions)
+        if direction == agg_dir
     ]
     if agreeing and flipped:
         lines.append("Strata agreeing with the aggregate: " + ", ".join(agreeing) + ".")
@@ -321,7 +341,9 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
         aggregate_direction=agg_dir,
         per_stratum=tuple(per_stratum),
         flipped_strata=tuple(flipped),
-        reversal_present=bool(reversal),
+        strata_direction=strata_dir,
+        strata_p_value=strata_p,
+        reversal_present=strata_dir * agg_dir < 0,
         homogeneity=homogeneity,
         aggregate_trustworthy=bool(trustworthy),
         narrative="\n".join(lines),

@@ -168,7 +168,7 @@ def _read_dataset(path: str, ordering_specs: list) -> Dataset:
             if header is None:
                 raise InvalidSpec(f"{path} is empty")
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InvalidSpec(f"cannot read {path}: {exc}") from None
     if len(set(header)) != len(header):
         raise InvalidSpec("duplicate column names in CSV header")
@@ -375,31 +375,14 @@ def cmd_analyze_table(args) -> str:
     marginal_source = "aggregate rate comparison"
     marginal_side = verdict.AssociationSide(
         source=marginal_source,
-        direction=int(np.sign(comparison.diff)),
+        direction=agg_verdict.aggregate_direction,
         p_value=comparison.p_value,
     )
     marginal_report = verdict.adequacy_from_homogeneity(agg_verdict, source=marginal_source)
 
-    stratum_signs = [int(np.sign(r0 - r1)) for _, r0, r1 in agg_verdict.per_stratum]
-    nonzero = [s for s in stratum_signs if s != 0]
-    majority = 0
-    if nonzero:
-        positives = sum(1 for s in nonzero if s > 0)
-        negatives = len(nonzero) - positives
-        majority = 1 if positives > negatives else -1 if negatives > positives else 0
-    stratum_ps = []
-    for _, table in tables.strata:
-        try:
-            stratum_ps.append(
-                bernoulli.two_proportion_test(
-                    table.successes(0), table.total(0), table.successes(1), table.total(1), alpha=alpha
-                ).p_value
-            )
-        except DegeneratePool:
-            stratum_ps.append(1.0)
     cond_source = "per-stratum rate comparisons"
     conditional_side = verdict.AssociationSide(
-        source=cond_source, direction=majority, p_value=min(stratum_ps)
+        source=cond_source, direction=agg_verdict.strata_direction, p_value=agg_verdict.strata_p_value
     )
     conditional_report = verdict.untested_adequacy(source=cond_source)
 

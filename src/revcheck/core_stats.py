@@ -7,7 +7,9 @@ instead of NaN propagation, and a documented divisor convention.
 
 Least squares, correlations and their t-tests work on stacked rows, one
 problem per row: a per-dataset call is the batch-of-one case, and a size
-study runs the same code on a block of replications. Checks report to an
+study runs the same code on a block of replications. Tail probabilities
+have one elementwise implementation, `_tail`: `tail_prob` checks its
+arguments and calls it on one float, and stacked tests call it on arrays. Checks report to an
 error sink: `flag(mask, error, message)` for the rows that fail, `stop`
 for a check every row fails. Per-dataset calls pass `_RAISE`, which raises
 at once.
@@ -350,43 +352,37 @@ def _check_df(*dfs: float) -> None:
             raise InvalidDegreesOfFreedom(f"degrees of freedom {df!r} must be >= 1")
 
 
-def _student_t_sf(t, df: float):
-    # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 for t >= 0, elementwise.
-    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
-    return np.where(t >= 0, half, 1.0 - half)
+def _tail(dist, stat, sides: str):
+    """Tail probability of each statistic in stat; tail_prob without its checks.
 
-
-def student_t_two_sided_p(t, df: float) -> np.ndarray:
-    """tail_prob(StudentT(df), t, "two") for an array of finite statistics,
-    element for element; the caller checks df and the finiteness of t."""
-    t = np.asarray(t, dtype=float)
-    upper = _student_t_sf(t, df)
-    return np.clip(2.0 * np.where(t >= 0, upper, 1.0 - upper), 0.0, 1.0)
+    One upper tail per distribution, folded for "two" into twice the smaller
+    tail. For Student t and the Normal, whose upper tail is at most 1/2 at a
+    non-negative statistic, that is 2 P(T > |stat|). A NaN statistic gives
+    NaN; a float gives a numpy float.
+    """
+    if isinstance(dist, StudentT):
+        # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 = half for t >= 0, and
+        # 1 - half below 0; |(t < 0) - half| picks that without a select.
+        half = 0.5 * special.betainc(dist.df / 2.0, 0.5, dist.df / (dist.df + stat * stat))
+        upper = abs((stat < 0) - half)
+    elif isinstance(dist, Normal):
+        upper = 0.5 * special.erfc(stat / np.sqrt(2.0))
+    elif isinstance(dist, FisherF):
+        # At a statistic <= 0 the integral runs to x = 1, so the tail is 1.
+        f = np.maximum(stat, 0.0)
+        upper = special.betainc(dist.df2 / 2.0, dist.df1 / 2.0, dist.df2 / (dist.df2 + dist.df1 * f))
+    else:
+        upper = special.gammaincc(dist.df / 2.0, np.maximum(stat, 0.0) / 2.0)
+    p = upper if sides == "one" else 2.0 * np.minimum(upper, 1.0 - upper)
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 def _t_test_p(t, df: float, tested, errors) -> np.ndarray:
-    """student_t_two_sided_p, with tail_prob's checks flagged where `tested` holds."""
+    """Two-sided Student-t p of each t, with tail_prob's checks flagged where `tested` holds."""
     errors.flag(tested & ~np.isfinite(t), NonFiniteInput, "test statistic must be finite")
     if df < 1:
         errors.flag(tested, InvalidDegreesOfFreedom, f"degrees of freedom {df!r} must be >= 1")
-    return student_t_two_sided_p(t, df)
-
-
-def _fisher_f_sf(f: float, df1: float, df2: float) -> float:
-    if f <= 0:
-        return 1.0
-    x = df2 / (df2 + df1 * f)
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, x))
-
-
-def _chi_square_sf(x: float, df: float) -> float:
-    if x <= 0:
-        return 1.0
-    return float(special.gammaincc(df / 2.0, x / 2.0))
-
-
-def _normal_sf(z: float) -> float:
-    return 0.5 * float(special.erfc(z / np.sqrt(2.0)))
+    return _tail(StudentT(df), t, "two")
 
 
 def tail_prob(dist, stat: float, sides: str = "two") -> float:
@@ -406,30 +402,10 @@ def tail_prob(dist, stat: float, sides: str = "two") -> float:
         raise MismatchedInputs(f"sides must be 'one' or 'two', got {sides!r}")
     if not np.isfinite(stat):
         raise NonFiniteInput("test statistic must be finite")
-    stat = float(stat)
-
-    if isinstance(dist, StudentT):
+    if isinstance(dist, (StudentT, ChiSquare)):
         _check_df(dist.df)
-        upper = float(_student_t_sf(stat, dist.df))
-        symmetric = True
-    elif isinstance(dist, Normal):
-        upper = _normal_sf(stat)
-        symmetric = True
     elif isinstance(dist, FisherF):
         _check_df(dist.df1, dist.df2)
-        upper = _fisher_f_sf(stat, dist.df1, dist.df2)
-        symmetric = False
-    elif isinstance(dist, ChiSquare):
-        _check_df(dist.df)
-        upper = _chi_square_sf(stat, dist.df)
-        symmetric = False
-    else:
+    elif not isinstance(dist, Normal):
         raise MismatchedInputs(f"unknown distribution spec {dist!r}")
-
-    if sides == "one":
-        return min(max(upper, 0.0), 1.0)
-    if symmetric:
-        p = 2.0 * (upper if stat >= 0 else 1.0 - upper)
-    else:
-        p = 2.0 * min(upper, 1.0 - upper)
-    return min(max(p, 0.0), 1.0)
+    return float(_tail(dist, float(stat), sides))

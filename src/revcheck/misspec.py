@@ -34,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .core_stats import _RAISE, FisherF, Series, _correlation_test, _solve, tail_prob
+from .core_stats import _RAISE, ChiSquare, FisherF, Series, _correlation_test, _solve, _tail, tail_prob
 from .errors import (
     DegenerateData,
     GroupTooSmall,
@@ -304,7 +303,7 @@ def _k2(u: np.ndarray) -> tuple:
         cube_root = np.sign(denom) * np.where(denom == 0, np.nan, ((1 - 2 / a) / np.abs(denom)) ** (1 / 3))
         z_kurt = (1 - 2 / (9 * a) - cube_root) / (2 / (9 * a)) ** 0.5
     stat = z_skew * z_skew + z_kurt * z_kurt
-    return float(stat), float(special.chdtrc(2, stat))
+    return float(stat), float(_tail(ChiSquare(2), stat, "one"))
 
 
 def normality_check(residuals) -> CheckResult:

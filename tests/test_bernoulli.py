@@ -314,3 +314,24 @@ def test_narrative_shows_homogeneity_p_as_format_p_does(monkeypatch, p, shown):
     monkeypatch.setattr(bernoulli, "homogeneity_test", with_p)
     narrative = aggregate_verdict(admissions_tables()).narrative
     assert f"male holds (p {shown}), female holds (p {shown})." in narrative
+
+
+def test_reversal_present_follows_the_strata_direction():
+    # Only s1 orders the groups (against the aggregate); s2 and s3 tie. The
+    # strata's direction is then s1's, so the aggregate is reversed.
+    agg = ContingencyTable(("yes", "no"), ("a", "b"), ((80, 43), (60, 37)))
+    strata = tuple(
+        (name, ContingencyTable(("yes", "no"), ("a", "b"), counts))
+        for name, counts in (
+            ("s1", ((10, 20), (40, 30))),
+            ("s2", ((30, 15), (10, 5))),
+            ("s3", ((40, 8), (10, 2))),
+        )
+    )
+    v = aggregate_verdict(StratifiedTables(aggregate=agg, strata=strata, complete=True))
+    assert v.reversal_present
+    assert (v.aggregate_direction, v.strata_direction) == (1, -1)
+    assert v.flipped_strata == ("s1",)
+    assert v.strata_p_value == min(
+        two_proportion_test(t.successes(0), t.total(0), t.successes(1), t.total(1)).p_value for _, t in strata
+    )

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from revcheck import cli, misspec
+from revcheck import bernoulli, cli, misspec
 from revcheck.fixtures import fixture_path
 
 
@@ -70,6 +71,29 @@ def test_analyze_table_json_is_deterministic(capsys):
     assert payload["marginal"]["direction"] == 1
     assert payload["conditional"]["direction"] == -1
     assert payload["assumptions"]["marginal"]["[2] constant mean"]["status"] == "fail"
+
+
+def test_analyze_table_degenerate_stratum_counts_p_one(tmp_path, capsys):
+    # s2's pooled rate is 0, so its z-test is undefined: it counts as p = 1
+    # and the conditional p is the smallest p of the other strata.
+    strata = [[[10, 20], [40, 30]], [[0, 0], [10, 10]], [[15, 30], [25, 10]]]
+    path = tmp_path / "t.json"
+    path.write_text(
+        json.dumps(
+            {
+                "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": [[25, 50], [75, 50]]},
+                "strata": [{"name": f"s{i + 1}", "counts": counts} for i, counts in enumerate(strata)],
+                "complete": True,
+            }
+        )
+    )
+    code, out, err = run(["--output", "json", "analyze-table", str(path)], capsys)
+    assert (code, err) == (0, "")
+    expected = min(
+        bernoulli.two_proportion_test(s[0][0], s[0][0] + s[1][0], s[0][1], s[0][1] + s[1][1]).p_value
+        for s in (strata[0], strata[2])
+    )
+    assert json.loads(out)["conditional"]["p_value"] == expected
 
 
 def test_analyze_regression_by_group(example3_csv, capsys):
@@ -294,6 +318,21 @@ def test_analyze_regression_unreadable_file(tmp_path, capsys):
     code, out, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_analyze_regression_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n\xff,1\n2,3\n")
+    code, out, err = run(["analyze-regression", str(path), "--response", "y", "--regressors", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and "can't decode byte 0xff" in err
+
+
+def test_analyze_regression_field_past_the_csv_limit(tmp_path, capsys):
+    path = write_csv(tmp_path / "wide.csv", "x,y\n1," + "9" * 200_000 + "\n")
+    code, out, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: field larger than field limit ({csv.field_size_limit()})\n"
 
 
 def test_analyze_regression_infers_ordering_kinds(tmp_path, capsys, monkeypatch):

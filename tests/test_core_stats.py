@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import special
 
 from revcheck import core_stats
 from revcheck.core_stats import (
@@ -17,9 +18,9 @@ from revcheck.core_stats import (
     Series,
     StudentT,
     _solve,
+    _tail,
     least_squares,
     sample_moments,
-    student_t_two_sided_p,
     tail_prob,
 )
 from revcheck.errors import (
@@ -396,8 +397,22 @@ def test_tail_prob_error_paths():
         tail_prob(Normal(), 1.0, "both")
 
 
-def test_student_t_two_sided_p_equals_scalar_tail_prob():
-    t = np.concatenate([np.linspace(-9.0, 9.0, 181), [-0.0, 1e-300, -1e-300, 40.0, -40.0]])
-    for df in (1, 3, 42, 97):
-        expected = [tail_prob(StudentT(df), value, "two") for value in t]
-        assert student_t_two_sided_p(t, df).tolist() == expected
+def test_tail_on_arrays_equals_scalar_tail_prob():
+    # The stacked tests take p-values from _tail on arrays, and reports
+    # from tail_prob on floats: the two paths must agree bit for bit.
+    stats = np.concatenate([np.linspace(-9.0, 9.0, 181), [-0.0, 1e-300, -1e-300, 40.0, -40.0]])
+    dists = [StudentT(df) for df in (1, 3, 42, 97)]
+    dists += [Normal(), FisherF(3, 7), FisherF(40, 2), ChiSquare(1), ChiSquare(5)]
+    for dist in dists:
+        for sides in ("one", "two"):
+            expected = [tail_prob(dist, value, sides) for value in stats]
+            assert _tail(dist, stats, sides).tolist() == expected
+
+
+def test_two_sided_tail_of_a_negative_t_folds_its_upper_tail():
+    # Below 0 the upper tail is 1 - half, and the two-sided p is twice
+    # 1 - (1 - half), which is not 2 * half in floating point.
+    df, t = 97, -9.0
+    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
+    assert 2.0 * (1.0 - (1.0 - half)) != 2.0 * half
+    assert tail_prob(StudentT(df), t, "two") == 2.0 * (1.0 - (1.0 - half))
