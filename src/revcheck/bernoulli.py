@@ -36,6 +36,10 @@ def _check_count(value, name: str) -> int:
         raise InvalidCounts(f"{name} must be a number, got {value!r}") from None
     if not np.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
         raise InvalidCounts(f"{name} must be a non-negative integer, got {value!r}")
+    # Past 2**53 a float no longer holds every integer, so the count read
+    # could differ from the count written.
+    if as_float >= 2**53:
+        raise InvalidCounts(f"{name} must be less than 2**53, got {value!r}")
     return int(as_float)
 
 
@@ -61,6 +65,8 @@ class ContingencyTable:
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         if len(self.row_labels) != 2 or len(self.col_labels) != 2:
             raise MismatchedInputs("need exactly two row labels and two column labels")
+        if self.col_labels[0] == self.col_labels[1]:
+            raise InvalidSpec(f"the two group labels must differ, got {self.col_labels[0]!r} twice")
 
     def successes(self, col: int) -> int:
         return int(self.counts[0, col])
@@ -156,6 +162,19 @@ def _two_proportion_rows(counts: np.ndarray) -> tuple:
     return rates, z, _tail(Normal(), z, "two"), pooled
 
 
+def _comparison(rates, z, p, pooled, alpha: float) -> ProportionComparison:
+    """One table's row of _two_proportion_rows; DegeneratePool if its pooled rate is 0 or 1."""
+    if pooled in (0.0, 1.0):
+        raise DegeneratePool("pooled rate is 0 or 1; the z statistic is undefined")
+    return ProportionComparison(
+        diff=float(rates[0] - rates[1]),
+        z=float(z),
+        p_value=float(p),
+        reject=bool(p < alpha),
+        pooled_theta=float(pooled),
+    )
+
+
 def two_proportion_test(
     successes_a: int, total_a: int, successes_b: int, total_b: int, alpha: float = 0.05
 ) -> ProportionComparison:
@@ -172,16 +191,7 @@ def two_proportion_test(
     estimate_theta(successes_a, total_a)  # checks the counts
     estimate_theta(successes_b, total_b)
     counts = np.array([[successes_a, successes_b], [total_a - successes_a, total_b - successes_b]])
-    rates, z, p, pooled = _two_proportion_rows(counts)
-    if pooled in (0.0, 1.0):
-        raise DegeneratePool("pooled rate is 0 or 1; the z statistic is undefined")
-    return ProportionComparison(
-        diff=float(rates[0] - rates[1]),
-        z=float(z),
-        p_value=float(p),
-        reject=bool(p < alpha),
-        pooled_theta=float(pooled),
-    )
+    return _comparison(*_two_proportion_rows(counts), alpha)
 
 
 @dataclass(frozen=True)
@@ -257,6 +267,7 @@ class AggregateVerdict:
 
     aggregate_rates: tuple
     aggregate_direction: int
+    aggregate_test: ProportionComparison
     per_stratum: tuple
     flipped_strata: tuple
     strata_direction: int
@@ -275,20 +286,22 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     stratum's ordering; a reversal is present when the strata's direction is
     nonzero and opposes the aggregate's. The aggregate comparison itself is
     trustworthy only when the homogeneity test holds for both groups, i.e.
-    the pooled rates are not mixtures of unequal stratum rates.
+    the pooled rates are not mixtures of unequal stratum rates. One stacked
+    z-test covers the aggregate (row 0) and the strata; a pooled rate of 0
+    or 1 over a group's strata or in the aggregate raises DegeneratePool.
     """
     if not 0 < alpha < 1:
         raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    agg = tables.aggregate
-    labels = agg.col_labels
-    rate0, rate1 = agg.rate(0), agg.rate(1)
+    labels = tables.aggregate.col_labels
+    counts = np.array([tables.aggregate.counts] + [table.counts for _, table in tables.strata])
+    rates, z, p, pooled = _two_proportion_rows(counts)
+    rate0, rate1 = rates[0].tolist()
     agg_dir = int(np.sign(rate0 - rate1))
 
-    rates, _, p, pooled = _two_proportion_rows(np.array([table.counts for _, table in tables.strata]))
-    directions = np.sign(rates[:, 0] - rates[:, 1]).astype(int).tolist()
+    directions = np.sign(rates[1:, 0] - rates[1:, 1]).astype(int).tolist()
     strata_dir = int(np.sign(sum(directions)))
-    strata_p = float(np.where((pooled == 0.0) | (pooled == 1.0), 1.0, p).min())
-    per_stratum = [(name, r0, r1) for (name, _), (r0, r1) in zip(tables.strata, rates.tolist())]
+    strata_p = float(np.where((pooled[1:] == 0.0) | (pooled[1:] == 1.0), 1.0, p[1:]).min())
+    per_stratum = [(name, r0, r1) for (name, _), (r0, r1) in zip(tables.strata, rates[1:].tolist())]
     flipped = [name for (name, _, _), direction in zip(per_stratum, directions) if direction * agg_dir < 0]
 
     homogeneity = {}
@@ -298,6 +311,7 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
             result = homogeneity_test(tables, col, alpha=alpha)
             homogeneity[label] = result
             trustworthy = trustworthy and result.id_holds
+    aggregate_test = _comparison(rates[0], z[0], p[0], pooled[0], alpha)
 
     lines = []
     winner = labels[0] if agg_dir > 0 else labels[1] if agg_dir < 0 else "neither group"
@@ -339,6 +353,7 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     return AggregateVerdict(
         aggregate_rates=(rate0, rate1),
         aggregate_direction=agg_dir,
+        aggregate_test=aggregate_test,
         per_stratum=tuple(per_stratum),
         flipped_strata=tuple(flipped),
         strata_direction=strata_dir,
@@ -429,6 +444,29 @@ def _member(obj, key: str, where: str):
     return obj[key]
 
 
+def _label(value, where: str):
+    """A JSON name or label, which must be a string or a number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InvalidSpec(f"malformed stratified-tables JSON: {where} must be a string or a number, got {value!r}")
+    return value
+
+
+def _labels(labels, key: str) -> tuple:
+    values = _member(labels, key, "aggregate labels")
+    if not isinstance(values, list):
+        raise InvalidSpec(f"malformed stratified-tables JSON: aggregate labels {key} must be a list, got {values!r}")
+    return tuple(_label(value, f"aggregate labels {key}[{i}]") for i, value in enumerate(values))
+
+
+def _table(rows: tuple, cols: tuple, counts, where: str) -> ContingencyTable:
+    try:
+        return ContingencyTable(row_labels=rows, col_labels=cols, counts=counts)
+    except InvalidCounts as exc:
+        raise InvalidCounts(f"{where}: {exc}") from None
+    except ValueError:  # numpy's error for ragged nested lists
+        raise InvalidCounts(f"{where}: counts must be 2 x 2, got rows of unequal length") from None
+
+
 def stratified_tables_from_json(obj: dict) -> StratifiedTables:
     """Parse the on-disk JSON layout into StratifiedTables.
 
@@ -437,22 +475,25 @@ def stratified_tables_from_json(obj: dict) -> StratifiedTables:
                        "counts": [[..., ...], [..., ...]]},
          "strata": [{"name": ..., "counts": [[..., ...], [..., ...]]}],
          "complete": true | false}
+
+    Names and labels are JSON strings or numbers, and counts integers below
+    2**53; a count error names its table.
     """
     try:
         aggregate_obj = _member(obj, "aggregate", "the top level")
         labels = _member(aggregate_obj, "labels", "aggregate")
-        rows = tuple(_member(labels, "rows", "aggregate labels"))
-        cols = tuple(_member(labels, "cols", "aggregate labels"))
-        counts = _member(aggregate_obj, "counts", "aggregate")
-        aggregate = ContingencyTable(row_labels=rows, col_labels=cols, counts=counts)
+        rows, cols = _labels(labels, "rows"), _labels(labels, "cols")
+        aggregate = _table(rows, cols, _member(aggregate_obj, "counts", "aggregate"), "aggregate")
         strata = tuple(
             (
-                _member(entry, "name", f"strata[{i}]"),
-                ContingencyTable(row_labels=rows, col_labels=cols, counts=_member(entry, "counts", f"strata[{i}]")),
+                _label(_member(entry, "name", f"strata[{i}]"), f"strata[{i}] name"),
+                _table(rows, cols, _member(entry, "counts", f"strata[{i}]"), f"strata[{i}]"),
             )
             for i, entry in enumerate(_member(obj, "strata", "the top level"))
         )
-        complete = bool(_member(obj, "complete", "the top level"))
+        complete = _member(obj, "complete", "the top level")
+        if not isinstance(complete, bool):
+            raise InvalidSpec(f"malformed stratified-tables JSON: complete must be true or false, got {complete!r}")
     except TypeError as exc:
         raise InvalidSpec(f"malformed stratified-tables JSON: {exc}") from None
     return StratifiedTables(aggregate=aggregate, strata=strata, complete=complete)

@@ -32,7 +32,6 @@ from .errors import (
     DegeneratePool,
     InvalidSpec,
     RevcheckError,
-    Underdetermined,
     UnknownColumn,
 )
 from .parameterization import (
@@ -222,18 +221,7 @@ def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: mi
     """Conditional side for a lone trending pair: the corrected correlation."""
     x = Series(data.column(regressor), regressor)
     y = Series(data.column(response), response)
-    try:
-        corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
-    except Underdetermined:
-        # Past the length check, detrending has run; name a series it flattened.
-        if len(x) > cfg.trend_degree + cfg.lag_count + 3:
-            for series in (x, y):
-                if misspec._flat(misspec.detrend(series, cfg.trend_degree).values):
-                    raise Underdetermined(
-                        f"detrending of degree {cfg.trend_degree} (--trend-degree) leaves {series.label!r} "
-                        "constant, so the corrected correlation cannot be computed"
-                    ) from None
-        raise
+    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
     source = "corrected correlation"
     n_eff = len(x_clean)
     clean = Dataset(
@@ -367,11 +355,8 @@ def cmd_analyze_table(args) -> str:
     tables = bernoulli.stratified_tables_from_json(obj)
     alpha = args.alpha
     agg_verdict = bernoulli.aggregate_verdict(tables, alpha=alpha)
+    comparison = agg_verdict.aggregate_test
 
-    agg = tables.aggregate
-    comparison = bernoulli.two_proportion_test(
-        agg.successes(0), agg.total(0), agg.successes(1), agg.total(1), alpha=alpha
-    )
     marginal_source = "aggregate rate comparison"
     marginal_side = verdict.AssociationSide(
         source=marginal_source,
@@ -464,10 +449,10 @@ def cmd_simulate(args) -> str:
         return _write_csv(data, args.out, ["t", "x", "y"])
     if args.dgp_command == "mc-size":
         if args.dgp == "trending":
-            kind = simulate.TrendingPair(n=args.n or 46)
+            kind = simulate.TrendingPair(n=46 if args.n is None else args.n)
         else:
             joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
-            kind = simulate.NiidRegression(joint, args.n or 100)
+            kind = simulate.NiidRegression(joint, 100 if args.n is None else args.n)
         descriptor = _mc_test_descriptor(args, kind)
         result = simulate.mc_error_rate(
             simulate.DgpSpec(kind, seed),

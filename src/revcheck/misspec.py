@@ -426,12 +426,20 @@ def dememorize(series: Series, lags: int = 2) -> Series:
     return Series(values=_dememorize_rows(series.values, lags, _RAISE), label=series.label)
 
 
-def _corrected_rows(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, errors) -> tuple:
-    """corrected_correlation for each row: (x_clean, y_clean, rho, p)."""
+def _corrected_rows(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, errors, names: tuple) -> tuple:
+    """corrected_correlation for each row: (x_clean, y_clean, rho, p); names label x and y in errors."""
     if x.shape[-1] <= cfg.trend_degree + cfg.lag_count + 3:
         errors.stop(Underdetermined, "too few observations for the configured trend degree and lags")
-    x_clean = _dememorize_rows(_detrend_rows(x, cfg.trend_degree, errors), cfg.lag_count, errors)
-    y_clean = _dememorize_rows(_detrend_rows(y, cfg.trend_degree, errors), cfg.lag_count, errors)
+    cleaned = []
+    for values, name in zip((x, y), names):
+        detrended = _detrend_rows(values, cfg.trend_degree, errors)
+        message = (
+            f"detrending of degree {cfg.trend_degree} (--trend-degree) leaves {name!r} constant, "
+            "so the corrected correlation cannot be computed"
+        )
+        errors.flag(_flat(detrended), Underdetermined, message)
+        cleaned.append(_dememorize_rows(detrended, cfg.lag_count, errors))
+    x_clean, y_clean = cleaned
     df = x_clean.shape[-1] - 2
     if df < 1:
         errors.stop(Underdetermined, "not enough effective observations for a correlation test")
@@ -443,7 +451,7 @@ def _corrected(x: Series, y: Series, cfg: BatteryConfig) -> tuple:
     """corrected_correlation, plus the cleaned series it correlates."""
     if len(x) != len(y):
         raise MismatchedInputs(f"series lengths differ: {len(x)} vs {len(y)}")
-    x_clean, y_clean, rho, p = _corrected_rows(x.values, y.values, cfg, _RAISE)
+    x_clean, y_clean, rho, p = _corrected_rows(x.values, y.values, cfg, _RAISE, (x.label or "x", y.label or "y"))
     corrected = CorrectedCorrelation(rho=float(rho), p_value=float(p), n_effective=len(x_clean))
     return corrected, Series(x_clean, x.label), Series(y_clean, y.label)
 
@@ -455,6 +463,10 @@ def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConf
     each is replaced by the residuals of its own-lag regression with
     `lag_count` lags. The correlation of what remains is tested against
     zero with a Student-t statistic on n_effective - 2 degrees of freedom.
+
+    Raises:
+        Underdetermined: if the series are too short, or detrending leaves
+            one constant (named by its label, else "x" or "y").
     """
     return _corrected(x, y, cfg)[0]
 

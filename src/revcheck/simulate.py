@@ -499,7 +499,7 @@ def _corrected_rejections(columns: dict, test: TestDescriptor, alpha: float, err
     cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
     x = _column(columns, test.x, errors)
     y = _column(columns, test.y, errors)
-    return misspec._corrected_rows(x, y, cfg, errors)[3] < alpha
+    return misspec._corrected_rows(x, y, cfg, errors, (test.x, test.y))[3] < alpha
 
 
 _REJECTIONS = {

@@ -144,6 +144,25 @@ def test_aggregate_verdict_plots():
     assert not v.aggregate_trustworthy
 
 
+@pytest.mark.parametrize("counts", [((0, 0), (10, 10)), ((10, 10), (0, 0))])
+def test_aggregate_verdict_rejects_a_degenerate_aggregate_with_one_stratum(counts):
+    # One stratum runs no homogeneity test, so the aggregate's own z-test is
+    # what meets the pooled rate of 0 or 1.
+    agg = ContingencyTable(("yes", "no"), ("a", "b"), counts)
+    single = StratifiedTables(aggregate=agg, strata=(("only", agg),), complete=True)
+    with pytest.raises(DegeneratePool, match=r"^pooled rate is 0 or 1; the z statistic is undefined$"):
+        aggregate_verdict(single)
+
+
+@pytest.mark.parametrize("tables", [admissions_tables, plots_tables])
+def test_aggregate_test_is_the_two_proportion_test_of_the_aggregate(tables):
+    tables = tables()
+    agg = tables.aggregate
+    v = aggregate_verdict(tables)
+    assert v.aggregate_test == two_proportion_test(agg.successes(0), agg.total(0), agg.successes(1), agg.total(1))
+    assert v.aggregate_rates == (agg.rate(0), agg.rate(1))
+
+
 def test_event_reversal_plots_pattern():
     triple = triple_from_tables(plots_tables())
     assert triple.p_a_given_b == pytest.approx(0.5)

@@ -460,6 +460,56 @@ def test_analyze_table_error_paths(tmp_path, capsys):
     assert err == "error: malformed stratified-tables JSON: the top level is not an object (got list)\n"
 
 
+def crossed_tables():
+    """A complete two-stratum family whose group rates differ by stratum."""
+    return {
+        "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": [[100, 100], [100, 100]]},
+        "strata": [{"name": "s1", "counts": [[10, 50], [90, 50]]}, {"name": "s2", "counts": [[90, 50], [10, 50]]}],
+        "complete": True,
+    }
+
+
+def test_analyze_table_rejects_equal_group_labels(tmp_path, capsys):
+    # Each group's constant-rate check is reported under its label; with
+    # equal labels one group's result would stand for both.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(crossed_tables()))
+    code, out, _ = run(["analyze-table", str(path)], capsys)
+    assert code == 0 and "[2] constant mean: fail (p < .001)" in out
+    obj = crossed_tables()
+    obj["aggregate"]["labels"]["cols"] = ["m", "m"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: the two group labels must differ, got 'm' twice\n")
+
+
+MALFORMED = "malformed stratified-tables JSON:"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("strata", 0, "name"), ["s1"], f"{MALFORMED} strata[0] name must be a string or a number, got ['s1']"),
+        (("aggregate", "labels", "cols", 1), ["b"],
+         f"{MALFORMED} aggregate labels cols[1] must be a string or a number, got ['b']"),
+        (("aggregate", "labels", "rows"), "yn", f"{MALFORMED} aggregate labels rows must be a list, got 'yn'"),
+        (("strata", 1, "counts", 0, 0), 10**20, f"strata[1]: counts[0][0] must be less than 2**53, got {10**20}"),
+        (("strata", 1, "counts", 1), [10], "strata[1]: counts must be 2 x 2, got rows of unequal length"),
+        (("complete",), "false", f"{MALFORMED} complete must be true or false, got 'false'"),
+    ],
+)
+def test_analyze_table_rejects_misread_json(tmp_path, capsys, path, value, message):
+    obj = crossed_tables()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = tmp_path / "t.json"
+    file.write_text(json.dumps(obj))
+    code, out, err = run(["analyze-table", str(file)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_analyze_table_shows_a_p_of_one_as_one(tmp_path, capsys):
     # Group a's rate is .50 in both strata, so its constant-rate test has p = 1.
     path = tmp_path / "flat.json"
@@ -559,6 +609,12 @@ def test_simulate_to_an_unwritable_path_exits_2(tmp_path, capsys):
 def test_negative_seed_exits_2(argv, capsys):
     code, out, err = run(["--seed", "-1"] + argv, capsys)
     assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer\n")
+
+
+@pytest.mark.parametrize("dgp, message", [("trending", "TrendingPair needs n >= 12"), ("niid", "NiidRegression needs n >= 4")])
+def test_mc_size_n_zero_exits_2(dgp, message, capsys):
+    code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", dgp, "--n", "0", "--reps", "1000"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_mc_size_json_and_thread_invariance(capsys):

@@ -132,6 +132,21 @@ def test_corrected_correlation_keeps_genuine_link():
     assert out.p_value < 1e-6
 
 
+@pytest.mark.parametrize("flat, label, named", [("x", "cubic", "cubic"), ("y", "", "y"), ("x", "", "x")])
+def test_corrected_correlation_names_a_series_detrended_to_constant(flat, label, named):
+    # An exact cubic in time has nothing left after degree-3 detrending.
+    rng = np.random.default_rng(5)
+    t = np.arange(1.0, 47.0)
+    series = {"x": Series(rng.standard_normal(46), "x"), "y": Series(rng.standard_normal(46))}
+    series[flat] = Series(1900.0 + t - 0.05 * t**2 + 0.001 * t**3, label)
+    with pytest.raises(Underdetermined) as caught:
+        corrected_correlation(series["x"], series["y"], BatteryConfig())
+    assert str(caught.value) == (
+        f"detrending of degree 3 (--trend-degree) leaves {named!r} constant, "
+        "so the corrected correlation cannot be computed"
+    )
+
+
 def test_normality_check_behavior():
     rng = np.random.default_rng(12)
     assert normality_check(rng.standard_normal(500)).p >= 0.05

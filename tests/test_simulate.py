@@ -394,6 +394,17 @@ def test_batched_study_reports_the_first_failing_replication():
         mc_error_rate(DgpSpec(kind, 1), test, replications=5000)
 
 
+def test_batched_study_names_the_column_detrended_to_constant():
+    # All-zero draws leave column x constant after detrending.
+    test = TestDescriptor(kind="corrected_correlation", x="x", y="x")
+    with pytest.raises(Underdetermined) as caught:
+        mc_error_rate(DgpSpec(BernoulliIid(theta=0.0, n=20), 3), test, replications=1000)
+    assert str(caught.value) == (
+        "replication 0: detrending of degree 3 (--trend-degree) leaves 'x' constant, "
+        "so the corrected correlation cannot be computed"
+    )
+
+
 def test_block_errors_follow_the_first_failing_replication():
     errors = simulate._FirstError(start=512)
     rows = np.arange(8)
