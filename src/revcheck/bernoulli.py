@@ -33,7 +33,10 @@ def _check_count(value, name: str) -> int:
     try:
         as_float = float(value)
     except (TypeError, ValueError):
-        raise InvalidCounts(f"{name} must be a number, got {value!r}") from None
+        as_float = None
+    # float() reads True as 1, but a boolean is not a count.
+    if as_float is None or isinstance(value, (bool, np.bool_)):
+        raise InvalidCounts(f"{name} must be a number, got {value!r}")
     if not np.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
         raise InvalidCounts(f"{name} must be a non-negative integer, got {value!r}")
     # Past 2**53 a float no longer holds every integer, so the count read
@@ -55,8 +58,9 @@ class ContingencyTable:
         counts = np.asarray(self.counts)
         if counts.shape != (2, 2):
             raise InvalidCounts(f"counts must be 2 x 2, got shape {counts.shape}")
+        # Cells are read as written: np.asarray turns a True among numbers into 1.
         checked = np.array(
-            [[_check_count(counts[i, j], f"counts[{i}][{j}]") for j in range(2)] for i in range(2)]
+            [[_check_count(self.counts[i][j], f"counts[{i}][{j}]") for j in range(2)] for i in range(2)]
         )
         if np.any(checked.sum(axis=0) < 1):
             raise InvalidCounts("each group column needs at least one observation")

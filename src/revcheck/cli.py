@@ -346,11 +346,11 @@ def cmd_analyze_regression(args) -> str:
 
 def cmd_analyze_table(args) -> str:
     try:
-        with open(args.json_path) as handle:
+        with open(args.json_path, encoding="utf-8") as handle:
             obj = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read {args.json_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSpec(f"{args.json_path} is not valid JSON: {exc}") from None
     tables = bernoulli.stratified_tables_from_json(obj)
     alpha = args.alpha

@@ -46,9 +46,6 @@ from .errors import (
 # rank deficient.
 COND_MAX = 1e10
 
-# Absolute tolerance target for tail probabilities.
-TAIL_PROB_ATOL = 1e-8
-
 
 class _Raise:
     """The per-dataset error sink: a failed check raises at once."""

@@ -18,11 +18,13 @@ Auxiliary regressions regress the base fit's residuals on the original
 regressors plus the probe terms and F-test the probe block jointly; this
 is numerically identical to the classical added-variable F-test. They
 stack an intercept, the regressors and the probe columns, in that order,
-into one design and go straight to the least-squares kernel, without a
-Dataset, a ModelSpec or per-term inference: the joint F needs only the
-full fit's RSS and its Q'y. Each
-assumption ends up marked pass, fail, or untested; a check that cannot run
-is never reported as a pass.
+into one design. The variance ratio refits the base design on each
+group's rows. Every check goes straight to the least-squares kernel,
+without a Dataset, a ModelSpec, a model fit or per-term inference: the
+joint F needs only the full fit's RSS and its Q'y, and the ratio only each
+group's residuals. `run_battery` runs one declared list of checks, each
+feeding the assumptions it probes. Each assumption ends up marked pass,
+fail, or untested; a check that cannot run is never reported as a pass.
 
 The module also provides the detrend / dememorize transforms and the
 corrected correlation used to screen trending, temporally dependent pairs
@@ -46,7 +48,7 @@ from .errors import (
     TooFewResiduals,
     Underdetermined,
 )
-from .regression import Dataset, FitResult, _degenerate, subset_fit
+from .regression import Dataset, FitResult, _degenerate
 
 PASS = "pass"
 FAIL = "fail"
@@ -333,23 +335,32 @@ def normality_check(residuals) -> CheckResult:
 
 
 def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
+    """F of the two groups' residual variances, each group refit on its own
+    rows of the base design over the fit window; two-sided p."""
     ordering_var = data.ordering(ordering)
     if ordering_var.kind == "time":
         raise InvalidSpec("grouped variance check needs a group ordering")
-    levels = sorted(set(ordering_var.values[base.row_index].tolist()))
+    window = base.row_index
+    values = ordering_var.values[window]
+    levels = sorted(set(values.tolist()))
     if len(levels) != 2:
         raise InvalidSpec(f"grouped variance check needs exactly two groups, found {len(levels)}")
-    spec = base.spec
-    fits = [subset_fit(data, spec, ordering, level) for level in levels]
-    dfs = [f.n_used - len(f.coefficients) for f in fits]
+    columns = [data.column(name)[window] for name in _plain_regressors(base)]
+    design = np.column_stack(([np.ones(window.size)] if base.spec.include_intercept else []) + columns)
+    response = data.column(base.spec.response)[window]
+    groups = [values == level for level in levels]
+    dfs = [int(rows.sum()) - design.shape[1] for rows in groups]
     if min(dfs) < 1:
-        raise GroupTooSmall("a group leaves no residual degrees of freedom")
-    variances = [float(f.residuals @ f.residuals) / d for f, d in zip(fits, dfs)]
+        raise GroupTooSmall(f"a group of ordering {ordering!r} has too few rows for {design.shape[1]} parameters")
+    variances = []
+    for rows, df in zip(groups, dfs):
+        # A group's RSS is at most the base fit's, whose sums are finite.
+        residuals = _solve(design[rows], response[rows], _RAISE).residuals
+        variances.append(float(residuals @ residuals) / df)
     if min(variances) <= 0:
         raise DegenerateData("a group has zero residual variance")
     f_stat = variances[0] / variances[1]
-    p = tail_prob(FisherF(dfs[0], dfs[1]), f_stat, "two")
-    return CheckResult(stat=float(f_stat), p=float(p))
+    return CheckResult(stat=float(f_stat), p=tail_prob(FisherF(*dfs), f_stat, "two"))
 
 
 def _squared_residual_regression(data: Dataset, base: FitResult) -> CheckResult:
@@ -499,56 +510,30 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
         statuses, p_values = assess_assumptions(checks, cfg.alpha)
         return MisspecReport(statuses, p_values, (), degenerate=True, source=source)
 
+    kinds = {name: data.ordering(name).kind for name in data.orderings}
+    groups = [name for name, kind in kinds.items() if kind != "time"]
+    # (evidence name, the assumptions it feeds, the check, its arguments)
+    probes = [
+        ("normality", (norm_label,), normality_check, (base.residuals,)),
+        ("linearity", (lin_label,), linearity_check, (data, base)),
+    ]
+    probes += [(f"variance-ratio({name})", (hom_label,), homoskedasticity_check, (data, base, name)) for name in groups]
+    # The loop runs this one only when no variance ratio ran.
+    probes.append(("variance-regression", (hom_label,), homoskedasticity_check, (data, base)))
+    if "time" in kinds.values():
+        probes.append(("trend-lag", (indep_label, invar_label), auxiliary_trend_lag_test, (data, base, cfg)))
+    probes += [(f"ordering-shift({name})", (invar_label,), ordering_shift_test, (data, base, name)) for name in groups]
     evidence = []
-    ordering_vars = [data.ordering(name) for name in data.orderings]
-    time_orderings = [o.name for o in ordering_vars if o.kind == "time"]
-    group_orderings = [o.name for o in ordering_vars if o.kind != "time"]
-
-    try:
-        check = normality_check(base.residuals)
-        evidence.append(("normality", check))
-        checks[norm_label].append(check.p)
-    except _CANNOT_RUN:
-        pass
-
-    try:
-        aux = linearity_check(data, base)
-        evidence.append(("linearity", aux))
-        checks[lin_label].append(aux.joint_p)
-    except _CANNOT_RUN:
-        pass
-
-    for name in group_orderings:
+    for name, labels, check, args in probes:
+        if name == "variance-regression" and checks[hom_label]:
+            continue
         try:
-            check = homoskedasticity_check(data, base, ordering=name)
+            result = check(*args)
         except _CANNOT_RUN:
             continue
-        evidence.append((f"variance-ratio({name})", check))
-        checks[hom_label].append(check.p)
-    if not checks[hom_label]:
-        try:
-            check = homoskedasticity_check(data, base)
-            evidence.append(("variance-regression", check))
-            checks[hom_label].append(check.p)
-        except _CANNOT_RUN:
-            pass
-
-    if time_orderings:
-        try:
-            aux = auxiliary_trend_lag_test(data, base, cfg)
-            evidence.append(("trend-lag", aux))
-            checks[indep_label].append(aux.joint_p)
-            checks[invar_label].append(aux.joint_p)
-        except _CANNOT_RUN:
-            pass
-
-    for name in group_orderings:
-        try:
-            aux = ordering_shift_test(data, base, name)
-        except _CANNOT_RUN:
-            continue
-        evidence.append((f"ordering-shift({name})", aux))
-        checks[invar_label].append(aux.joint_p)
+        evidence.append((name, result))
+        for label in labels:
+            checks[label].append(result.p if isinstance(result, CheckResult) else result.joint_p)
 
     statuses, p_values = assess_assumptions(checks, cfg.alpha)
     return MisspecReport(statuses, p_values, tuple(evidence), source=source)

@@ -11,11 +11,13 @@ one after another on the calling thread. Each row is exactly the dataset
 the replication's own stream gives: replication r is still
 rng_for(seed, r), but a block seeds its rows' streams in one vectorised
 pass and loads each into one reused generator before drawing its row. The
-tests run the same stacked code as the per-dataset functions
-(`regression.fit` and `coefficient_test`, `naive_correlation_test`,
-`misspec.corrected_correlation`), which are its batch-of-one case, so each
-row gets the same decision and fails with the same error as its dataset
-tested on its own.
+correlation tests run the same stacked code as the per-dataset functions
+`naive_correlation_test` and `misspec.corrected_correlation`, which are its
+batch-of-one case. The coefficient test builds its own stacked design (an
+intercept and the regressors) and shares the kernel `_solve` and
+`regression`'s `_inference` and `_coefficient_p` with `regression.fit` and
+`coefficient_test`. So each row gets the same decision and fails with the
+same error as its dataset tested on its own.
 
 Four generators are provided:
 

@@ -222,6 +222,17 @@ def test_contingency_table_validation():
         ContingencyTable(("a",), ("l", "r"), ((1, 2), (3, 4)))
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_a_boolean_is_not_a_count(flag):
+    # numpy reads True as 1; a count must be written as a number.
+    with pytest.raises(InvalidCounts, match=r"counts\[0\]\[1\] must be a number, got "):
+        ContingencyTable(("a", "b"), ("l", "r"), [[5, flag], [3, 4]])
+    with pytest.raises(InvalidCounts, match="successes must be a number"):
+        estimate_theta(flag, 10)
+    with pytest.raises(InvalidCounts, match="total must be a number"):
+        two_proportion_test(0, 5, 1, flag)
+
+
 def test_stratified_tables_consistency():
     agg = ContingencyTable(("a", "b"), ("l", "r"), ((5, 5), (5, 5)))
     s1 = ContingencyTable(("a", "b"), ("l", "r"), ((5, 5), (5, 5)))

@@ -510,6 +510,33 @@ def test_analyze_table_rejects_misread_json(tmp_path, capsys, path, value, messa
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_analyze_table_rejects_a_boolean_count(tmp_path, capsys):
+    obj = crossed_tables()
+    obj["aggregate"]["counts"] = [[11, 100], [180, 100]]
+    obj["strata"][0]["counts"] = [[True, 50], [90, 50]]
+    obj["strata"][1]["counts"] = [[10, 50], [90, 50]]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: strata[0]: counts[0][0] must be a number, got True\n")
+
+
+def test_analyze_table_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"a":1}')
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_analyze_table_rejects_json_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
 def test_analyze_table_shows_a_p_of_one_as_one(tmp_path, capsys):
     # Group a's rate is .50 in both strata, so its constant-rate test has p = 1.
     path = tmp_path / "flat.json"

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 import revcheck
-from revcheck import misspec
+from revcheck import core_stats, misspec, regression
 from revcheck.core_stats import Series, StudentT, tail_prob
 from revcheck.errors import DegenerateData, MismatchedInputs, NonFiniteInput, TooFewResiduals, Underdetermined
 from revcheck.misspec import (
@@ -242,6 +242,57 @@ def test_homoskedasticity_regression_fallback():
     assert homoskedasticity_check(calm, fit(calm, SPEC)).p >= 0.05
 
 
+def _reference_variance_ratio(data, regressors, ordering):
+    """Two independent group fits by lstsq and the two-sided F p of the
+    ratio of their residual variances, the first sorted level's on top."""
+    values = data.ordering(ordering).values
+    variances, dfs = [], []
+    for level in sorted(set(values.tolist())):
+        rows = values == level
+        X = np.column_stack([np.ones(rows.sum())] + [data.column(name)[rows] for name in regressors])
+        y = data.column("y")[rows]
+        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+        r = y - X @ coef
+        dfs.append(len(y) - X.shape[1])
+        variances.append(float(r @ r) / dfs[-1])
+    f = variances[0] / variances[1]
+    p = 2 * min(stats.f.sf(f, *dfs), stats.f.cdf(f, *dfs))
+    return f, p
+
+
+@pytest.mark.parametrize("kind", ["binary_group", "categorical"])
+@pytest.mark.parametrize("regressors", [("x",), ("x", "z")])
+def test_variance_ratio_matches_two_lstsq_group_fits(kind, regressors):
+    # Unequal, interleaved groups of 17 and 31 rows, the larger noisier.
+    rng = np.random.default_rng(35)
+    member = rng.permutation(np.repeat([0.0, 1.0], [17, 31]))
+    x, z = rng.standard_normal(48), rng.standard_normal(48)
+    y = 1.0 + 0.5 * x - 0.3 * z + (1.0 + member) * rng.standard_normal(48)
+    values = member if kind == "binary_group" else np.where(member == 1.0, "lo", "hi").astype(object)
+    data = Dataset(columns={"y": y, "x": x, "z": z}, orderings={"g": OrderingVariable("g", kind, values)})
+    check = homoskedasticity_check(data, fit(data, ModelSpec(response="y", regressors=regressors)), ordering="g")
+    f, p = _reference_variance_ratio(data, regressors, "g")
+    assert math.isclose(check.stat, f, rel_tol=1e-9)
+    assert math.isclose(check.p, p, rel_tol=1e-9)
+
+
+def test_group_with_a_constant_regressor_falls_back_to_the_variance_regression():
+    # x is constant in group 0, so that group cannot identify its own slope.
+    rng = np.random.default_rng(36)
+    g = np.repeat([0.0, 1.0], 30)
+    x = np.where(g == 0.0, 2.0, rng.standard_normal(60))
+    data = Dataset(
+        columns={"y": 1.0 + 0.5 * x + rng.standard_normal(60), "x": x},
+        orderings={"g": OrderingVariable("g", "binary_group", g)},
+    )
+    report = run_battery(data, fit(data, SPEC), BatteryConfig())
+    names = [name for name, _ in report.evidence]
+    assert "variance-ratio(g)" not in names
+    assert "variance-regression" in names
+    assert report.per_assumption["[3] homoskedasticity"] in (PASS, FAIL)
+    assert report.p_values["[3] homoskedasticity"] is not None
+
+
 def test_trend_lag_flags_serial_dependence():
     rng = np.random.default_rng(41)
     n = 200
@@ -454,6 +505,69 @@ def test_run_battery_clean_data_all_pass():
     assert "normality" in labels and "linearity" in labels
     assert "variance-ratio(g)" in labels
     assert "trend-lag" in labels and "ordering-shift(g)" in labels
+
+
+@pytest.mark.parametrize(
+    "categories, names",
+    [
+        (
+            ["a", "b"],
+            ["normality", "linearity", "variance-ratio(h)", "variance-ratio(g)", "trend-lag",
+             "ordering-shift(h)", "ordering-shift(g)"],
+        ),
+        # A three-level ordering has no variance ratio.
+        (
+            ["a", "b", "c"],
+            ["normality", "linearity", "variance-ratio(h)", "trend-lag", "ordering-shift(h)", "ordering-shift(g)"],
+        ),
+    ],
+)
+def test_run_battery_evidence_names_in_order(categories, names):
+    rng = np.random.default_rng(65)
+    n = 60
+    x = rng.standard_normal(n)
+    data = Dataset(
+        columns={"y": 1.0 + 0.5 * x + rng.standard_normal(n), "x": x},
+        orderings={
+            "t": OrderingVariable("t", "time", np.arange(1.0, n + 1.0)),
+            "h": OrderingVariable("h", "binary_group", np.tile([0.0, 1.0], n // 2)),
+            "g": OrderingVariable("g", "categorical", np.repeat(np.array(categories, dtype=object), n // len(categories))),
+        },
+    )
+    report = run_battery(data, fit(data, SPEC), BatteryConfig())
+    assert [name for name, _ in report.evidence] == names
+
+
+def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
+    # Every check goes straight to the least-squares kernel: none builds a
+    # Dataset design or fits a model, the variance ratio's group fits included.
+    originals = (regression.fit, regression.subset_fit, regression.design_matrix, core_stats.least_squares)
+    watched = dict.fromkeys(originals, 0)
+
+    def counting(func):
+        def wrapper(*args, **kwargs):
+            watched[func] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "revcheck" or name.startswith("revcheck."):
+            for attr, value in list(vars(module).items()):
+                if any(value is func for func in watched):
+                    monkeypatch.setattr(module, attr, counting(value))
+
+    data = iid_dataset(66)
+    # The counters see calls made through any module's binding.
+    regression.subset_fit(data, SPEC, "g", 1.0)
+    assert all(count >= 1 for count in watched.values()), watched
+    watched.update(dict.fromkeys(originals, 0))
+
+    base = regression.fit(data, SPEC)
+    watched.update(dict.fromkeys(originals, 0))
+    report = run_battery(data, base, BatteryConfig())
+    assert "variance-ratio(g)" in [name for name, _ in report.evidence]
+    assert watched == dict.fromkeys(originals, 0)
 
 
 def test_run_battery_marks_untested_without_orderings():
