@@ -31,7 +31,9 @@ from .errors import (
     DegenerateData,
     DegeneratePool,
     InvalidSpec,
+    RankDeficient,
     RevcheckError,
+    Underdetermined,
     UnknownColumn,
 )
 from .parameterization import (
@@ -237,9 +239,13 @@ def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: 
     """(fit, x1 coefficient, its p, battery report) of one fitted side.
 
     x1 is the first regressor; subject names the fit in the message for a
-    numerically exact fit, and source labels the battery's report.
+    fit that cannot be identified or is numerically exact, and source labels
+    the battery's report.
     """
-    side_fit = fit(data, ModelSpec(response=response, regressors=regressors))
+    try:
+        side_fit = fit(data, ModelSpec(response=response, regressors=regressors))
+    except (Underdetermined, RankDeficient) as exc:
+        raise type(exc)(f"{subject}: {exc}") from None
     if side_fit.degenerate:
         raise DegenerateData(f"{subject} has a numerically exact fit")
     idx = side_fit.index_of(regressors[0])
@@ -251,6 +257,8 @@ def cmd_analyze_regression(args) -> str:
     data = _read_dataset(args.csv_path, args.ordering)
     if len(args.regressors) not in (1, 2):
         raise InvalidSpec("give one or two regressor columns")
+    if len(args.regressors) == 2 and args.by_group is not None:
+        raise InvalidSpec("condition on a second --regressors column or on --by-group, not both")
     response = args.response
     x1 = args.regressors[0]
     alpha = args.alpha

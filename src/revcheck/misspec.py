@@ -18,13 +18,16 @@ Auxiliary regressions regress the base fit's residuals on the original
 regressors plus the probe terms and F-test the probe block jointly; this
 is numerically identical to the classical added-variable F-test. They
 stack an intercept, the regressors and the probe columns, in that order,
-into one design. The variance ratio refits the base design on each
-group's rows. Every check goes straight to the least-squares kernel,
-without a Dataset, a ModelSpec, a model fit or per-term inference: the
-joint F needs only the full fit's RSS and its Q'y, and the ratio only each
-group's residuals. `run_battery` runs one declared list of checks, each
-feeding the assumptions it probes. Each assumption ends up marked pass,
-fail, or untested; a check that cannot run is never reported as a pass.
+into one design. The trend, lag and level-shift probes are the model's own
+TrendPoly, Lags and Shift terms, whose columns come from regression's one
+column builder. The variance ratio refits the base design on each group's
+rows, split by the same level rule as a Shift term. Every check goes
+straight to the least-squares kernel, without a Dataset, a ModelSpec, a
+model fit or per-term inference: the joint F needs only the full fit's RSS
+and its Q'y, and the ratio only each group's residuals. `run_battery` runs
+one declared list of checks, each feeding the assumptions it probes. Each
+assumption ends up marked pass, fail, or untested; a check that cannot run
+is never reported as a pass.
 
 The module also provides the detrend / dememorize transforms and the
 corrected correlation used to screen trending, temporally dependent pairs
@@ -48,7 +51,7 @@ from .errors import (
     TooFewResiduals,
     Underdetermined,
 )
-from .regression import Dataset, FitResult, _degenerate
+from .regression import Dataset, FitResult, Lags, Shift, TrendPoly, _degenerate, _generated_columns, _shift_columns
 
 PASS = "pass"
 FAIL = "fail"
@@ -211,7 +214,8 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
 
     Regresses the residuals on the original regressors plus normalized time
     powers t, t^2, ..., t^(trend_degree - 1) and lags 1..lag_count of the
-    response and of every regressor, then F-tests the added block jointly.
+    response and of every regressor (the terms TrendPoly and Lags), then
+    F-tests the added block jointly.
     A significant joint F indicts independence ([4]) and time invariance of
     the parameters ([5]) together.
     """
@@ -226,38 +230,24 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
     if rows.size == 0:
         raise Underdetermined("lag depth leaves no usable rows")
 
-    m = rows.size
-    s = np.arange(1, m + 1) / m
-    added = [(f"t^{power}", s**power) for power in range(1, cfg.trend_degree)]
-    for source in (base.spec.response, *regressors):
-        series = data.column(source)
-        added += [(f"{source}[-{k}]", series[rows - k]) for k in range(1, lags + 1)]
+    terms = [TrendPoly(cfg.trend_degree - 1)] if cfg.trend_degree > 1 else []
+    terms += [Lags(lags, source) for source in (base.spec.response, *regressors)]
+    added = _generated_columns(data, terms, rows)
     return _added_terms_f(base.residuals[usable], [data.column(name)[rows] for name in regressors], added)
 
 
 def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> AuxiliaryResult:
     """Probe for level shifts of the residual mean across ordering groups.
 
-    Regresses the residuals on the original regressors plus group dummies
-    built from the ordering; the joint F of the dummy block tests whether
-    the fit's parameters hold across groups (assumption [5] in the group
-    direction).
+    Regresses the residuals on the original regressors plus the group
+    dummies of the term Shift(ordering); the joint F of the dummy block
+    tests whether the fit's parameters hold across groups (assumption [5]
+    in the group direction).
     """
     _require_live_fit(base)
     regressors = _plain_regressors(base)
-    ordering_var = data.ordering(ordering)
-    if ordering_var.kind == "time":
-        raise InvalidSpec("shift diagnostics need a group ordering")
     rows = base.row_index
-    values = ordering_var.values[rows]
-    # A dummy for every level but the first; a binary ordering's is 1.
-    levels = [1.0] if ordering_var.kind == "binary_group" else sorted(set(values.tolist()))[1:]
-    if not levels:
-        raise GroupTooSmall(f"ordering {ordering!r} has a single level in the fit window")
-    added = [(f"shift({ordering}={level})", (values == level).astype(float)) for level in levels]
-    for _, dummy in added:
-        if dummy.sum() in (0, len(dummy)):
-            raise GroupTooSmall(f"ordering {ordering!r} has an empty group in the fit window")
+    added = _generated_columns(data, [Shift(ordering)], rows)
     return _added_terms_f(base.residuals, [data.column(name)[rows] for name in regressors], added)
 
 
@@ -337,18 +327,15 @@ def normality_check(residuals) -> CheckResult:
 def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     """F of the two groups' residual variances, each group refit on its own
     rows of the base design over the fit window; two-sided p."""
-    ordering_var = data.ordering(ordering)
-    if ordering_var.kind == "time":
-        raise InvalidSpec("grouped variance check needs a group ordering")
     window = base.row_index
-    values = ordering_var.values[window]
-    levels = sorted(set(values.tolist()))
-    if len(levels) != 2:
-        raise InvalidSpec(f"grouped variance check needs exactly two groups, found {len(levels)}")
+    dummies = _shift_columns(data.ordering(ordering), window)
+    if len(dummies) != 1:
+        raise InvalidSpec(f"grouped variance check needs exactly two groups, found {len(dummies) + 1}")
     columns = [data.column(name)[window] for name in _plain_regressors(base)]
     design = np.column_stack(([np.ones(window.size)] if base.spec.include_intercept else []) + columns)
     response = data.column(base.spec.response)[window]
-    groups = [values == level for level in levels]
+    # The first level's rows, then the second's.
+    groups = [dummies[0][1] == 0, dummies[0][1] == 1]
     dfs = [int(rows.sum()) - design.shape[1] for rows in groups]
     if min(dfs) < 1:
         raise GroupTooSmall(f"a group of ordering {ordering!r} has too few rows for {design.shape[1]} parameters")

@@ -3,8 +3,10 @@
 A Dataset carries named columns plus declared ordering variables (time
 indexes, group labels) that diagnostics later exploit. A ModelSpec names a
 response, regressors, and optional generated terms: polynomial trends in
-normalized time, lags of existing columns, and level-shift dummies built
-from an ordering. Fitting produces a FitResult with the usual inference
+normalized time (TrendPoly), lags of existing columns (Lags), and
+level-shift dummies built from a group ordering (Shift). One builder,
+_generated_columns, makes their columns over given rows; design_matrix and
+the misspec battery's probes both call it. Fitting produces a FitResult with the usual inference
 summaries, computed through the QR solver in core_stats.
 """
 
@@ -186,66 +188,65 @@ class DesignInfo:
     row_index: np.ndarray
 
 
-def _shift_columns(data: Dataset, term: Shift, rows: np.ndarray):
-    ordering = data.ordering(term.ordering)
+def _shift_columns(ordering: OrderingVariable, rows: np.ndarray) -> list:
+    """(name, dummy) pairs of a level shift over rows: one dummy for every
+    level but the first, in sorted order, so a binary ordering's marks its 1s.
+
+    Raises:
+        InvalidSpec: for a time ordering.
+        GroupTooSmall: if the rows hold fewer than two levels.
+    """
+    if ordering.kind == "time":
+        raise InvalidSpec(f"shift terms need a group ordering, not time ordering {ordering.name!r}")
     values = ordering.values[rows]
-    if ordering.kind == "binary_group":
-        return [values.astype(float)], [f"shift({term.ordering})"]
-    if ordering.kind == "categorical":
-        levels = sorted(set(values.tolist()))
-        if len(levels) < 2:
-            raise InvalidSpec(f"ordering {term.ordering!r} has fewer than two levels in the fit window")
-        cols, names = [], []
-        for level in levels[1:]:
-            cols.append((values == level).astype(float))
-            names.append(f"shift({term.ordering}={level})")
-        return cols, names
-    raise InvalidSpec(f"shift terms need a group ordering, not kind {ordering.kind!r}")
+    levels = sorted(set(values.tolist()))
+    if len(levels) < 2:
+        raise GroupTooSmall(f"ordering {ordering.name!r} has fewer than two levels in the fit window")
+    return [(f"shift({ordering.name}={level})", (values == level).astype(float)) for level in levels[1:]]
+
+
+def _generated_columns(data: Dataset, terms, rows: np.ndarray) -> list:
+    """(name, column) pairs of generated terms over rows, in term order.
+
+    A TrendPoly gives powers of s = 1/m, 2/m, ..., 1 over the m rows, a
+    Lags term the lagged copies of its column, a Shift its level dummies.
+    """
+    columns = []
+    for term in terms:
+        if isinstance(term, TrendPoly):
+            s = np.arange(1, rows.size + 1) / rows.size
+            columns += [(f"t^{power}", s**power) for power in range(1, term.degree + 1)]
+        elif isinstance(term, Lags):
+            base = data.column(term.of)
+            columns += [(f"{term.of}[-{k}]", base[rows - k]) for k in range(1, term.count + 1)]
+        elif isinstance(term, Shift):
+            columns += _shift_columns(data.ordering(term.ordering), rows)
+        else:
+            raise InvalidSpec(f"unknown generic term {term!r}")
+    return columns
 
 
 def design_matrix(data: Dataset, spec: ModelSpec) -> DesignInfo:
     """Assemble the design matrix for a spec, trimming rows lost to lags."""
-    n = data.n
     max_lag = 0
     for term in spec.generic_terms:
         if isinstance(term, Lags):
             data.column(term.of)
             max_lag = max(max_lag, term.count)
-    rows = np.arange(max_lag, n)
+    rows = np.arange(max_lag, data.n)
     if rows.size == 0:
         raise EmptyData("lag trimming removed every row")
 
-    cols, names = [], []
-    if spec.include_intercept:
-        cols.append(np.ones(len(rows)))
-        names.append("intercept")
-    for name in spec.regressors:
-        cols.append(data.column(name)[rows])
-        names.append(name)
-    m = len(rows)
-    for term in spec.generic_terms:
-        if isinstance(term, TrendPoly):
-            s = np.arange(1, m + 1) / m
-            for power in range(1, term.degree + 1):
-                cols.append(s**power)
-                names.append(f"t^{power}")
-        elif isinstance(term, Lags):
-            base = data.column(term.of)
-            for k in range(1, term.count + 1):
-                cols.append(base[rows - k])
-                names.append(f"{term.of}[-{k}]")
-        elif isinstance(term, Shift):
-            shift_cols, shift_names = _shift_columns(data, term, rows)
-            cols.extend(shift_cols)
-            names.extend(shift_names)
-        else:
-            raise InvalidSpec(f"unknown generic term {term!r}")
-    if not cols:
+    columns = [("intercept", np.ones(rows.size))] if spec.include_intercept else []
+    columns += [(name, data.column(name)[rows]) for name in spec.regressors]
+    columns += _generated_columns(data, spec.generic_terms, rows)
+    if not columns:
         raise InvalidSpec("model spec produces an empty design")
+    names, matrix_columns = zip(*columns)
     return DesignInfo(
-        matrix=np.column_stack(cols),
+        matrix=np.column_stack(matrix_columns),
         response=data.column(spec.response)[rows],
-        term_names=tuple(names),
+        term_names=names,
         row_index=rows,
     )
 

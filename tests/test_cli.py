@@ -259,6 +259,37 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
         ["analyze-regression", ragged, "--response", "y", "--regressors", "x"], capsys
     )
     assert code == 2 and "row 3" in err
+    # A second regressor and --by-group are two conditional sides; the
+    # command takes one.
+    code, _, _ = run(["--seed", "5", "simulate", "example3", "--out", str(tmp_path / "e3.csv")], capsys)
+    assert code == 0
+    with open(tmp_path / "e3.csv", newline="") as handle:
+        table = list(csv.reader(handle))
+    z = np.random.default_rng(3).standard_normal(len(table) - 1)
+    e3z = write_csv(
+        tmp_path / "e3z.csv",
+        "".join(",".join(row + [name]) + "\n" for row, name in zip(table, ["z"] + [repr(v) for v in z.tolist()])),
+    )
+    code, _, err = run(
+        ["analyze-regression", e3z, "--response", "y", "--regressors", "x", "z",
+         "--ordering", "group", "--by-group", "group"],
+        capsys,
+    )
+    assert code == 2 and "--regressors" in err and "--by-group" in err
+    # A fit that cannot be identified is named: a group of one row, and a
+    # constant regressor.
+    lone = write_csv(tmp_path / "lone.csv", "g,x,y\n0,1,2\n1,2,3\n1,3,5\n1,4,4\n1,5,7\n1,6,6\n")
+    code, _, err = run(
+        ["analyze-regression", lone, "--response", "y", "--regressors", "x",
+         "--ordering", "g", "--by-group", "g"],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: group 0.0: ") and "cannot identify" in err
+    flat = write_csv(tmp_path / "flat.csv", "x,y\n1,2\n1,3\n1,5\n1,6\n1,9\n1,10\n")
+    code, _, err = run(
+        ["analyze-regression", flat, "--response", "y", "--regressors", "x"], capsys
+    )
+    assert code == 2 and err.startswith("error: fit y ~ x: design condition estimate")
 
 
 # Ingest faults, each with the message it must produce. When a file has

@@ -32,7 +32,7 @@ from revcheck.misspec import (
     ordering_shift_test,
     run_battery,
 )
-from revcheck.regression import Dataset, ModelSpec, OrderingVariable, fit
+from revcheck.regression import Dataset, Lags, ModelSpec, OrderingVariable, TrendPoly, design_matrix, fit
 
 
 def classical_added_variable_f(y, base_cols, added_cols):
@@ -352,6 +352,33 @@ def test_auxiliary_checks_add_terms_in_design_order(monkeypatch):
     check = homoskedasticity_check(data, base)
     assert [aux.added_terms for aux in seen] == [("x", "x^2", "d", "z", "z^2")]
     assert (check.stat, check.p) == (seen[0].joint_f_stat, seen[0].joint_p)
+
+
+def test_trend_lag_probe_design_is_the_model_design(monkeypatch):
+    # The probe's terms are TrendPoly and Lags terms: the design it solves
+    # is design_matrix's for the same terms, bit for bit.
+    rng = np.random.default_rng(46)
+    n = 50
+    x = rng.standard_normal(n)
+    data = Dataset(
+        columns={"y": 1.0 + x + rng.standard_normal(n), "x": x},
+        orderings={"t": OrderingVariable("t", "time", np.arange(1.0, n + 1.0))},
+    )
+    base = fit(data, ModelSpec(response="y", regressors=("x",)))
+    seen = []
+    real = misspec._added_terms_f
+
+    def spy(response, base_columns, added):
+        seen.append((response, base_columns, added))
+        return real(response, base_columns, added)
+
+    monkeypatch.setattr(misspec, "_added_terms_f", spy)
+    auxiliary_trend_lag_test(data, base, BatteryConfig())
+    [(response, base_columns, added)] = seen
+    probe = np.column_stack([np.ones(len(response)), *base_columns, *(column for _, column in added)])
+    model = design_matrix(data, ModelSpec("y", ("x",), generic_terms=(TrendPoly(2), Lags(2, "y"), Lags(2, "x"))))
+    assert model.term_names == ("intercept", "x", *(name for name, _ in added))
+    assert probe.tobytes() == model.matrix.tobytes()
 
 
 def _overflowing_square_case():

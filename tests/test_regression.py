@@ -169,6 +169,24 @@ def test_design_matrix_generic_terms():
     assert np.allclose(trend1, np.arange(1, 6) / 5.0)
 
 
+def test_design_matrix_names_a_binary_shift_by_its_level():
+    # One dummy for every level but the first, so a binary ordering's marks
+    # its 1s and is named like a categorical level.
+    data = grouped_data()
+    info = design_matrix(data, ModelSpec(response="y", regressors=("x",), generic_terms=(Shift("g"),)))
+    assert info.term_names == ("intercept", "x", "shift(g=1.0)")
+    assert info.matrix[:, 2].tolist() == (data.ordering("g").values == 1.0).astype(float).tolist()
+
+
+def test_design_matrix_shift_on_one_level_window_raises_group_too_small():
+    one_level = Dataset(
+        columns={"y": np.arange(1.0, 7.0), "x": np.array([0.0, 2.0, 1.0, 4.0, 3.0, 5.0])},
+        orderings={"g": OrderingVariable("g", "binary_group", np.ones(6))},
+    )
+    with pytest.raises(GroupTooSmall):
+        design_matrix(one_level, ModelSpec(response="y", regressors=("x",), generic_terms=(Shift("g"),)))
+
+
 def test_subset_fit_matches_group_slice():
     data = grouped_data()
     res = subset_fit(data, ModelSpec(response="y", regressors=("x",)), "g", 0.0)
