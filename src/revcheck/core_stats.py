@@ -9,10 +9,16 @@ Least squares, correlations and their t-tests work on stacked rows, one
 problem per row: a per-dataset call is the batch-of-one case, and a size
 study runs the same code on a block of replications. Tail probabilities
 have one elementwise implementation, `_tail`: `tail_prob` checks its
-arguments and calls it on one float, and stacked tests call it on arrays. Checks report to an
-error sink: `flag(mask, error, message)` for the rows that fail, `stop`
-for a check every row fails. Per-dataset calls pass `_RAISE`, which raises
-at once.
+arguments and calls it on one float, and stacked tests call it on arrays,
+with the same arithmetic bit for bit. Its two kernels, the regularized
+incomplete beta and upper incomplete gamma functions, are continued
+fractions of a fixed depth, computed with numpy and `math` alone. Against
+scipy.special their largest relative error is below 1e-12 for Student t
+(df up to 20,000), F (df up to 2,500 and 20,000), chi-square (df up to
+1,000) and the Normal, down to p = 1e-300, and below 1e-9 for t and F with
+df up to 1e7. Checks report to an error sink: `flag(mask, error, message)`
+for the rows that fail, `stop` for a check every row fails. Per-dataset
+calls pass `_RAISE`, which raises at once.
 
 Every least-squares solve runs with numpy's OpenBLAS capped at one thread:
 the designs revcheck factors gain no wall time from a second BLAS thread,
@@ -26,12 +32,13 @@ threading.
 from __future__ import annotations
 
 import ctypes
+import functools
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy import special
 
 from .errors import (
     EmptyData,
@@ -349,6 +356,188 @@ def _check_df(*dfs: float) -> None:
             raise InvalidDegreesOfFreedom(f"degrees of freedom {df!r} must be >= 1")
 
 
+# Tail probabilities come from two kernels, each a continued fraction
+# evaluated on either side of a switch point (Numerical Recipes, 3rd ed.,
+# sec. 6.2 and 6.4): the regularized incomplete beta I_x(a, b) for Student t
+# and F, and the regularized upper incomplete gamma Q(a, x) for chi-square
+# and the Normal. Each fraction has the form 1 + c_1 x / (1 + c_2 x / ...),
+# with a fixed number of terms that depends only on its parameters. Every
+# x in a fraction's domain converges at least as fast as its edge, so the
+# fraction is cut where Lentz's method converges at the edge. It is stored
+# as its even contraction, 1 + c_1 x / (d_1 - n_1 / (d_2 - n_2 / ...)) with
+# d_j = 1 + e_j x and n_j = f_j x^2, which halves the levels evaluated.
+# Beyond df of about 1e7 the leading level cancels to O(1/df), and the
+# relative error grows like df * 1e-16; F with both df past about 1e10 also
+# meets the cap on terms.
+_LENTZ_EPS = 1e-15
+_LENTZ_TINY = 1e-300
+_MAX_TERMS = 20_000
+# Arrays this short are evaluated element by element on floats: the same
+# arithmetic, without numpy's per-call cost on every level of a fraction.
+_ELEMENTWISE = 6
+_TINY = np.finfo(float).tiny
+_HUGE = 1e300
+# The gamma kernel's switch: x >= a + _GAMMA_SWITCH uses the upper fraction.
+# At a + 1, the textbook switch, the upper fraction has 61 levels at a = 1/2
+# (the Normal); at a + 3 it has 30. Further out, Q = 1 - P loses accuracy.
+_GAMMA_SWITCH = 3.0
+
+
+@dataclass(frozen=True)
+class _Fraction:
+    """1 + c1 x / (d_1 - n_1 / (d_2 - ...)), d_j = 1 + e_j x, n_j = f_j x^2; e, f deepest first."""
+
+    c1: float
+    e: tuple
+    f: tuple
+
+
+def _fraction(coefficient, edge: float) -> _Fraction:
+    """The fraction with c_k = coefficient(k), cut where Lentz's method converges at x = edge."""
+    cs = []
+    c, d = 1.0, 0.0
+    while len(cs) < _MAX_TERMS:
+        cs.append(coefficient(len(cs) + 1))
+        term = cs[-1] * edge
+        d = 1.0 + term * d
+        c = 1.0 + term / c
+        d = 1.0 / (d if d != 0.0 else _LENTZ_TINY)
+        c = c if c != 0.0 else _LENTZ_TINY
+        if abs(c * d - 1.0) < _LENTZ_EPS:
+            break
+    # Levels 1..K//2 + 1 hold c_1..c_K; the terms past c_K are zero.
+    levels = range(1, len(cs) // 2 + 2)
+    cs += [0.0, 0.0, 0.0]
+    e = [cs[1]] + [cs[2 * j - 2] + cs[2 * j - 1] for j in levels[1:]]
+    f = [cs[2 * j - 1] * cs[2 * j] for j in levels]
+    return _Fraction(cs[0], tuple(e[::-1]), tuple(f[::-1]))
+
+
+def _evaluate(fraction: _Fraction, x):
+    """The fraction at x, a float or an array, from its deepest level up."""
+    if np.ndim(x):
+        # Every level's d and n in two whole-array steps, then two steps a level.
+        xx = x * x
+        levels = zip(1.0 + np.multiply.outer(fraction.e, x), np.multiply.outer(fraction.f, xx))
+    else:
+        x = float(x)
+        xx = x * x
+        levels = ((1.0 + e * x, f * xx) for e, f in zip(fraction.e, fraction.f))
+    t = 1.0
+    for d, n in levels:
+        t = d - n / t
+    return 1.0 + fraction.c1 * x / t
+
+
+def _branches(mask, value, first, second):
+    """first(value) where mask holds and second(value) elsewhere, for a float or an array."""
+    if np.ndim(value) == 0:
+        return first(value) if mask else second(value)
+    out = np.empty(np.shape(value))
+    out[mask] = first(value[mask])
+    out[~mask] = second(value[~mask])
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _beta_fraction(a: float, b: float) -> _Fraction:
+    """I_x(a, b) = x^a (1 - x)^b / (a B(a, b) g(x)) for x <= (a + 1) / (a + b + 2)."""
+
+    def coefficient(k):
+        m = k // 2
+        if k % 2:
+            return -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
+        return m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
+
+    return _fraction(coefficient, (a + 1.0) / (a + b + 2.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _lower_gamma_fraction(a: float) -> _Fraction:
+    """P(a, x) = x^a e^-x / (a Gamma(a) g(x)) for x < a + _GAMMA_SWITCH."""
+
+    def coefficient(k):
+        m = k // 2
+        if k % 2:
+            return -(a + m) / ((a + 2 * m) * (a + 2 * m + 1))
+        return m / ((a + 2 * m - 1) * (a + 2 * m))
+
+    return _fraction(coefficient, a + _GAMMA_SWITCH)
+
+
+@functools.lru_cache(maxsize=256)
+def _upper_gamma_fraction(a: float) -> _Fraction:
+    """Q(a, x) = x^a e^-x / (x Gamma(a) g(1/x)) for x >= a + _GAMMA_SWITCH."""
+
+    def coefficient(k):
+        m = (k + 1) // 2
+        return m - a if k % 2 else m
+
+    return _fraction(coefficient, 1.0 / (a + _GAMMA_SWITCH))
+
+
+def _stirling_remainder(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2), for x >= 10."""
+    r = 1.0 / (x * x)
+    return (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r * (1 / 1188 - r * 691 / 360360))))) / x
+
+
+@functools.lru_cache(maxsize=256)
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b). lgamma's of large arguments are large numbers whose
+    difference is small, so past 10 the Stirling series is differenced term
+    by term instead."""
+    p, q = min(a, b), max(a, b)
+    if q < 10:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    remainder = _stirling_remainder(q) - _stirling_remainder(p + q)
+    if p < 10:
+        return math.lgamma(p) + remainder - (q - 0.5) * math.log1p(p / q) - p * math.log(p + q) + p
+    return (
+        0.5 * math.log(2.0 * math.pi / (p + q))
+        - (p - 0.5) * math.log1p(q / p)
+        - (q - 0.5) * math.log1p(p / q)
+        + remainder
+        + _stirling_remainder(p)
+    )
+
+
+def _incomplete_beta(a: float, b: float, u):
+    """I_x(a, b) at x = 1 / (1 + u), for u >= 0, a float or an array.
+
+    x^a (1 - x)^b is built from u, never from a rounded x: log x is
+    -log1p(u) and log(1 - x) is -log1p(1 / u).
+    """
+    u = np.maximum(u, _TINY)
+    log_beta = _log_beta(a, b)
+
+    def front(v):
+        return np.exp(-a * np.log1p(v) - b * np.log1p(1.0 / v) - log_beta)
+
+    return _branches(
+        u >= (b + 1.0) / (a + 1.0),
+        u,
+        lambda v: front(v) / (a * _evaluate(_beta_fraction(a, b), 1.0 / (1.0 + v))),
+        lambda v: 1.0 - front(v) / (b * _evaluate(_beta_fraction(b, a), v / (1.0 + v))),
+    )
+
+
+def _upper_gamma(a: float, x):
+    """Q(a, x) for x >= 0, a float or an array."""
+    x = np.minimum(np.maximum(x, _TINY), _HUGE)
+    log_gamma = math.lgamma(a)
+
+    def front(v):
+        return np.exp(a * np.log(v) - v - log_gamma)
+
+    return _branches(
+        x >= a + _GAMMA_SWITCH,
+        x,
+        lambda v: front(v) / (v * _evaluate(_upper_gamma_fraction(a), 1.0 / v)),
+        lambda v: 1.0 - front(v) / (a * _evaluate(_lower_gamma_fraction(a), v)),
+    )
+
+
 def _tail(dist, stat, sides: str):
     """Tail probability of each statistic in stat; tail_prob without its checks.
 
@@ -357,19 +546,23 @@ def _tail(dist, stat, sides: str):
     non-negative statistic, that is 2 P(T > |stat|). A NaN statistic gives
     NaN; a float gives a numpy float.
     """
-    if isinstance(dist, StudentT):
-        # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 = half for t >= 0, and
-        # 1 - half below 0; |(t < 0) - half| picks that without a select.
-        half = 0.5 * special.betainc(dist.df / 2.0, 0.5, dist.df / (dist.df + stat * stat))
+    if np.ndim(stat) and np.size(stat) <= _ELEMENTWISE:
+        values = [_tail(dist, value, sides) for value in np.ravel(stat).tolist()]
+        return np.array(values).reshape(np.shape(stat))
+    if isinstance(dist, (StudentT, Normal)):
+        # P(T > t) = half for t >= 0 and 1 - half below 0, with half =
+        # I_{df/(df+t^2)}(df/2, 1/2) / 2 for Student t and Q(1/2, t^2/2) / 2
+        # for the Normal; |(t < 0) - half| picks that without a select.
+        if isinstance(dist, StudentT):
+            half = 0.5 * _incomplete_beta(dist.df / 2.0, 0.5, stat * stat / dist.df)
+        else:
+            half = 0.5 * _upper_gamma(0.5, 0.5 * stat * stat)
         upper = abs((stat < 0) - half)
-    elif isinstance(dist, Normal):
-        upper = 0.5 * special.erfc(stat / np.sqrt(2.0))
     elif isinstance(dist, FisherF):
         # At a statistic <= 0 the integral runs to x = 1, so the tail is 1.
-        f = np.maximum(stat, 0.0)
-        upper = special.betainc(dist.df2 / 2.0, dist.df1 / 2.0, dist.df2 / (dist.df2 + dist.df1 * f))
+        upper = _incomplete_beta(dist.df2 / 2.0, dist.df1 / 2.0, dist.df1 * np.maximum(stat, 0.0) / dist.df2)
     else:
-        upper = special.gammaincc(dist.df / 2.0, np.maximum(stat, 0.0) / 2.0)
+        upper = _upper_gamma(dist.df / 2.0, np.maximum(stat, 0.0) / 2.0)
     p = upper if sides == "one" else 2.0 * np.minimum(upper, 1.0 - upper)
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
@@ -387,8 +580,14 @@ def tail_prob(dist, stat: float, sides: str = "two") -> float:
 
     One-sided means the upper tail P(T > stat). Two-sided doubles the
     smaller tail, which for the symmetric distributions (Student t, Normal)
-    equals 2 P(T > |stat|). All branches evaluate regularized incomplete
-    beta/gamma integrals, accurate to about 1e-8 absolute or better.
+    equals 2 P(T > |stat|). Student t and F evaluate the regularized
+    incomplete beta function, chi-square and the Normal the regularized
+    upper incomplete gamma function, each as a continued fraction on either
+    side of a switch point (Numerical Recipes, sec. 6.2 and 6.4). The upper
+    tail's relative error is below 1e-12 wherever p >= 1e-300 for df up to
+    20,000 (measured against scipy.special), and below 1e-9 for df up to
+    1e7. A two-sided p taken from the lower tail, 2 (1 - upper), is exact to
+    the rounding of 1 - upper.
 
     Raises:
         InvalidDegreesOfFreedom: if any df argument is below 1.

@@ -424,19 +424,37 @@ def dememorize(series: Series, lags: int = 2) -> Series:
     return Series(values=_dememorize_rows(series.values, lags, _RAISE), label=series.label)
 
 
+class _StepErrors:
+    """An error sink that names the cleaning step and series a failed check belongs to."""
+
+    def __init__(self, errors, step: str, name: str):
+        self.errors, self.step, self.name = errors, step, name
+
+    def _message(self, message: str) -> str:
+        return (
+            f"{self.step} cannot be fitted to {self.name!r} ({message}), "
+            "so the corrected correlation cannot be computed"
+        )
+
+    def flag(self, bad, error: type, message: str) -> None:
+        self.errors.flag(bad, error, self._message(message))
+
+    def stop(self, error: type, message: str) -> None:
+        self.errors.stop(error, self._message(message))
+
+
 def _corrected_rows(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, errors, names: tuple) -> tuple:
     """corrected_correlation for each row: (x_clean, y_clean, rho, p); names label x and y in errors."""
     if x.shape[-1] <= cfg.trend_degree + cfg.lag_count + 3:
         errors.stop(Underdetermined, "too few observations for the configured trend degree and lags")
+    detrending = f"detrending of degree {cfg.trend_degree} (--trend-degree)"
+    dememorizing = f"dememorizing with {cfg.lag_count} lags (--lags)"
     cleaned = []
     for values, name in zip((x, y), names):
-        detrended = _detrend_rows(values, cfg.trend_degree, errors)
-        message = (
-            f"detrending of degree {cfg.trend_degree} (--trend-degree) leaves {name!r} constant, "
-            "so the corrected correlation cannot be computed"
-        )
+        detrended = _detrend_rows(values, cfg.trend_degree, _StepErrors(errors, detrending, name))
+        message = f"{detrending} leaves {name!r} constant, so the corrected correlation cannot be computed"
         errors.flag(_flat(detrended), Underdetermined, message)
-        cleaned.append(_dememorize_rows(detrended, cfg.lag_count, errors))
+        cleaned.append(_dememorize_rows(detrended, cfg.lag_count, _StepErrors(errors, dememorizing, name)))
     x_clean, y_clean = cleaned
     df = x_clean.shape[-1] - 2
     if df < 1:

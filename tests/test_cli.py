@@ -290,6 +290,22 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
         ["analyze-regression", flat, "--response", "y", "--regressors", "x"], capsys
     )
     assert code == 2 and err.startswith("error: fit y ~ x: design condition estimate")
+    # A cleaning step of the corrected side that cannot be fitted names the
+    # step, its flag and the series, in the analysis and the size study alike.
+    corrected = ["--response", "y", "--regressors", "x", "--ordering", "t:time"]
+    code, out, err = run(["--trend-degree", "40", "analyze-regression", trending_csv] + corrected, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: detrending of degree 40 (--trend-degree) cannot be fitted to 'x' (design condition")
+    assert err.endswith("), so the corrected correlation cannot be computed\n")
+    lags_message = (
+        "dememorizing with 30 lags (--lags) cannot be fitted to 'x' (16 observations cannot identify "
+        "31 parameters), so the corrected correlation cannot be computed\n"
+    )
+    code, out, err = run(["--lags", "30", "analyze-regression", trending_csv] + corrected, capsys)
+    assert code == 2 and out == "" and err == "error: " + lags_message
+    study = ["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--test", "corrected-correlation"]
+    code, _, err = run(["--lags", "30"] + study, capsys)
+    assert code == 2 and err == "error: replication 0: " + lags_message
 
 
 # Ingest faults, each with the message it must produce. When a file has

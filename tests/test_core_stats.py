@@ -18,6 +18,7 @@ from revcheck.core_stats import (
     Series,
     StudentT,
     _solve,
+    _incomplete_beta,
     _tail,
     least_squares,
     sample_moments,
@@ -413,6 +414,95 @@ def test_two_sided_tail_of_a_negative_t_folds_its_upper_tail():
     # Below 0 the upper tail is 1 - half, and the two-sided p is twice
     # 1 - (1 - half), which is not 2 * half in floating point.
     df, t = 97, -9.0
-    half = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t))
+    half = 0.5 * _incomplete_beta(df / 2.0, 0.5, t * t / df)
     assert 2.0 * (1.0 - (1.0 - half)) != 2.0 * half
     assert tail_prob(StudentT(df), t, "two") == 2.0 * (1.0 - (1.0 - half))
+
+
+# Accuracy of every tail against scipy.special, which revcheck does not load
+# at run time. Errors are relative, where scipy's p is at least 1e-300. For F
+# the floor is 1e-250: below it scipy's fdtrc is itself wrong for some dfs;
+# at F(40, 5000) = 43.52 the exact p is 1.03e-288 (50-digit mpmath), and
+# scipy's differs from it by 100%.
+ACCURACY_STATS = np.geomspace(1e-3, 1e3, 49)
+T_DFS = (1, 1.5, 2, 3, 4.7, 7, 10, 21, 42, 44, 97, 250.5, 1000, 4998, 20000)
+F_DF1S = (1, 2, 3.5, 5, 12, 40, 100, 500, 2500)
+F_DF2S = (1, 2, 3, 7.5, 20, 97, 1000, 5000, 20000)
+CHI_SQUARE_DFS = (1, 2, 3, 4.5, 7, 10, 25, 99, 399, 1000)
+
+
+def scipy_tails(dist, stat):
+    """scipy.special's (upper, lower) tails of dist at stat."""
+    if isinstance(dist, StudentT):
+        return special.stdtr(dist.df, -stat), special.stdtr(dist.df, stat)
+    if isinstance(dist, FisherF):
+        return special.fdtrc(dist.df1, dist.df2, stat), special.fdtr(dist.df1, dist.df2, stat)
+    if isinstance(dist, ChiSquare):
+        return special.chdtrc(dist.df, stat), special.chdtr(dist.df, stat)
+    return special.ndtr(-stat), special.ndtr(stat)
+
+
+def tail_errors(dist, stats, floor=1e-300):
+    """Largest relative error of the one- and two-sided tails at stats, on
+    an array and on floats, against scipy where its p is at least floor."""
+    upper, lower = scipy_tails(dist, stats)
+    worst = 0.0
+    for sides, expected in (("one", upper), ("two", 2.0 * np.minimum(upper, lower))):
+        on_floats = np.array([tail_prob(dist, value, sides) for value in stats.tolist()])
+        for got in (_tail(dist, stats, sides), on_floats):
+            kept = expected >= floor
+            # A two-sided p whose lower tail is the smaller one is 2 (1 - upper),
+            # exact only to the rounding of 1 - upper.
+            slack = 0.0 if sides == "one" else 4e-16
+            excess = np.maximum(np.abs(got[kept] - expected[kept]) - slack, 0.0)
+            worst = max(worst, float(np.max(excess / expected[kept], initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("df", T_DFS)
+def test_student_t_tail_matches_scipy(df):
+    stats = np.concatenate([ACCURACY_STATS, -ACCURACY_STATS[::4]])
+    assert tail_errors(StudentT(df), stats) <= 1e-10
+
+
+@pytest.mark.parametrize("df1", F_DF1S)
+def test_f_tail_matches_scipy(df1):
+    for df2 in F_DF2S:
+        assert tail_errors(FisherF(df1, df2), ACCURACY_STATS, floor=1e-250) <= 1e-10, (df1, df2)
+
+
+def test_chi_square_and_normal_tails_match_scipy():
+    for df in CHI_SQUARE_DFS:
+        assert tail_errors(ChiSquare(df), np.geomspace(1e-3, 3000, 61)) <= 1e-10, df
+    assert tail_errors(Normal(), np.linspace(-38.0, 38.0, 153)) <= 1e-10
+
+
+def test_tails_at_very_large_df_match_scipy_to_the_check_tolerance():
+    # The benchmark's output checks compare p-values at rtol 1e-6.
+    for df in (5e4, 1e6, 1e7):
+        assert tail_errors(StudentT(df), ACCURACY_STATS) <= 1e-6, df
+    for df1, df2 in ((1, 1e7), (40, 1e6), (1e7, 3), (2500, 1e7), (1e6, 1e6), (1e7, 1e7)):
+        assert tail_errors(FisherF(df1, df2), ACCURACY_STATS, floor=1e-250) <= 1e-6, (df1, df2)
+
+
+@pytest.mark.parametrize(
+    "dist, stats",
+    [
+        (StudentT(1), np.linspace(-60.0, 60.0, 4001)),
+        (StudentT(44), np.linspace(-12.0, 12.0, 4001)),
+        (StudentT(4998), np.linspace(-8.0, 8.0, 4001)),
+        (Normal(), np.linspace(-38.0, 38.0, 4001)),
+        (FisherF(3, 40), np.linspace(0.0, 60.0, 4001)),
+        (FisherF(2498, 2498), np.linspace(0.5, 2.0, 4001)),
+        (ChiSquare(1), np.linspace(0.0, 200.0, 4001)),
+        (ChiSquare(399), np.linspace(200.0, 700.0, 4001)),
+    ],
+    ids=["t1", "t44", "t4998", "normal", "f3-40", "f2498-2498", "chi1", "chi399"],
+)
+def test_tail_is_monotone_and_a_probability(dist, stats):
+    # Dense grids cross each kernel's switch between its two fractions.
+    upper = _tail(dist, stats, "one")
+    assert np.all(np.diff(upper) <= 0.0)
+    assert np.all((upper >= 0.0) & (upper <= 1.0))
+    two = _tail(dist, stats, "two")
+    assert np.all((two >= 0.0) & (two <= 1.0))

@@ -736,3 +736,50 @@ def test_importing_revcheck_leaves_scipy_stats_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout)
     assert outcome == {"codes": [0] * 9, "loaded": False}
+
+
+def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
+    # revcheck needs only numpy at run time; scipy is a test dependency.
+    # Neither importing revcheck nor running each command (the runs of the
+    # scipy.stats test above) may load scipy or any of its modules.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+        import revcheck
+        after_import = scipy_modules()
+        from revcheck import cli
+        from revcheck.fixtures import fixture_path
+
+        tmp = {str(tmp_path)!r}
+        runs = [
+            ["--seed", "1", "simulate", "trending", "--out", tmp + "/tr.csv"],
+            ["--seed", "1", "simulate", "example3", "--out", tmp + "/e3.csv"],
+            ["--seed", "2", "simulate", "niid", "--rho12", "0.5", "--rho13", "0.7", "--rho23", "0.8",
+             "--n", "200", "--out", tmp + "/niid.csv"],
+            ["analyze-regression", tmp + "/tr.csv", "--response", "y", "--regressors", "x",
+             "--ordering", "t:time"],
+            ["analyze-regression", tmp + "/e3.csv", "--response", "y", "--regressors", "x",
+             "--ordering", "group", "--by-group", "group"],
+            ["analyze-regression", tmp + "/niid.csv", "--response", "y", "--regressors", "x1", "x2",
+             "--ordering", "t:time"],
+            ["analyze-table", str(fixture_path("berkeley.json"))],
+            ["--seed", "3", "simulate", "mc-size", "--dgp", "trending", "--reps", "1000"],
+            ["reverse-conditions", "0.5", "0.7", "0.8"],
+        ]
+        codes = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        print(json.dumps({{"codes": codes, "after_import": after_import, "after_runs": scipy_modules()}}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome == {"codes": [0] * 9, "after_import": [], "after_runs": []}
