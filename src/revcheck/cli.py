@@ -153,17 +153,97 @@ def _direction(sign_value: float) -> int:
 # ---------------------------------------------------------------- regression
 
 
-def _read_dataset(path: str, ordering_specs: list) -> Dataset:
-    """The CSV at path as a Dataset, its --ordering columns declared.
+_NUMERIC_KINDS = ("time", "binary_group")
+# Characters on which np.loadtxt can read a file differently from the csv
+# module and float(): the csv quote and carriage return, NUL (which csv
+# rejects before Python 3.11), and the ASCII separators \x1c-\x1f, which
+# loadtxt strips from a number as whitespace while float() refuses them.
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
-    Each column is converted to floats once; an ordering without a kind is
-    binary if its values are all 0 or 1, time if they strictly increase, and
-    otherwise categorical, which keeps the stripped cell text. Only a column
-    that does not convert can hold a blank cell, so only such columns are
-    scanned for one.
+
+def _ordering_kind(kind: str, values) -> str:
+    """The kind of an --ordering: as declared, else inferred from its floats.
+
+    values is None for a column that does not convert to floats. Values all
+    0 or 1 are binary, strictly increasing values are time, and anything else
+    is categorical.
+    """
+    if kind:
+        return kind
+    if values is not None and set(np.unique(values)) <= {0.0, 1.0}:
+        return "binary_group"
+    if values is not None and np.all(np.diff(values) > 0):
+        return "time"
+    return "categorical"
+
+
+def _read_dataset(path: str, ordering_specs: list) -> Dataset:
+    """The CSV at path, read as UTF-8, as a Dataset with its --ordering columns declared.
+
+    A byte-order mark is ignored. Two readers give the same Dataset:
+    `_read_numeric`, one `np.loadtxt` pass, takes a plain numeric file, and
+    `_read_csv`, the csv module, takes every other. A file is plain numeric
+    when it holds no `"`, carriage return, NUL or \\x1c-\\x1f character and no
+    blank line, has a header of distinct names and at least one row, no line
+    as long as `csv.field_size_limit()`, the same number of fields on every
+    line and a number in every cell, and each --ordering names a column and
+    resolves to time or binary_group. Every ingest error comes from the csv
+    reader.
+    """
+    data = _read_numeric(path, ordering_specs)
+    return _read_csv(path, ordering_specs) if data is None else data
+
+
+def _read_numeric(path: str, ordering_specs: list) -> Dataset | None:
+    """The Dataset `_read_csv` gives for a plain numeric file, else None."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(char in text for char in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # csv reads a blank line as a row of 0 fields, which loadtxt skips.
+    if len(lines) < 2 or "" in lines or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    if len(set(header)) != len(header):
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, len(header)):
+        return None
+    # One fresh contiguous array per column, as the csv reader makes: strided
+    # views of the table change the last bits of the fits.
+    floats = {name: column.copy() for name, column in zip(header, table.T)}
+    orderings = {}
+    for spec_text in ordering_specs:
+        name, _, kind = spec_text.partition(":")
+        values = floats.get(name)
+        if values is None:
+            return None
+        kind = _ordering_kind(kind, values)
+        if kind not in _NUMERIC_KINDS:
+            return None
+        orderings[name] = OrderingVariable(name, kind, values)
+    return Dataset(columns={name: floats[name] for name in header if name not in orderings}, orderings=orderings)
+
+
+def _read_csv(path: str, ordering_specs: list) -> Dataset:
+    """The CSV at path as a Dataset, read with the csv module.
+
+    Each column is converted to floats once; a categorical ordering keeps
+    the stripped cell text, and a quoted field may hold the delimiter. Only
+    a column that does not convert can hold a blank cell, so only such
+    columns are scanned for one.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -197,14 +277,8 @@ def _read_dataset(path: str, ordering_specs: list) -> Dataset:
         if name not in cells:
             raise UnknownColumn(f"ordering column {name!r} not in the CSV")
         values = floats.get(name)
-        if not kind:
-            if values is not None and set(np.unique(values)) <= {0.0, 1.0}:
-                kind = "binary_group"
-            elif values is not None and np.all(np.diff(values) > 0):
-                kind = "time"
-            else:
-                kind = "categorical"
-        if kind not in ("time", "binary_group"):
+        kind = _ordering_kind(kind, values)
+        if kind not in _NUMERIC_KINDS:
             values = np.array([cell.strip() for cell in cells[name]], dtype=object)
         elif values is None:
             raise InvalidSpec(f"ordering {name!r} declared {kind} but is not numeric")
@@ -354,7 +428,7 @@ def cmd_analyze_regression(args) -> str:
 
 def cmd_analyze_table(args) -> str:
     try:
-        with open(args.json_path, encoding="utf-8") as handle:
+        with open(args.json_path, encoding="utf-8-sig") as handle:
             obj = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read {args.json_path}: {exc}") from None

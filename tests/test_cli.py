@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from revcheck import bernoulli, cli, misspec
+from revcheck.errors import RevcheckError
 from revcheck.fixtures import fixture_path
 
 
@@ -382,6 +383,121 @@ def test_analyze_regression_field_past_the_csv_limit(tmp_path, capsys):
     assert err == f"error: cannot read {path}: field larger than field limit ({csv.field_size_limit()})\n"
 
 
+def test_analyze_regression_ignores_a_byte_order_mark(trending_csv, tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a BOM. The LF copy is read by
+    # numpy and the CRLF copy by the csv module.
+    with open(trending_csv, "rb") as handle:
+        plain = handle.read()
+    flags = ["--response", "y", "--regressors", "x", "--ordering", "t:time"]
+    expected = run(["analyze-regression", trending_csv] + flags, capsys)
+    assert expected[0] == 0
+    for name, data in (("bom.csv", plain), ("bom_crlf.csv", plain.replace(b"\n", b"\r\n"))):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        assert run(["analyze-regression", str(path)] + flags, capsys) == expected
+
+
+def benchmark_like_csv(n: int) -> str:
+    """n rows of time, 0/1 group and two Normal columns, each float written as repr."""
+    rng = np.random.default_rng(5)
+    block = np.column_stack([np.arange(1.0, n + 1), rng.integers(0, 2, n), rng.standard_normal((n, 2))])
+    return "t,g,x,y\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in block)
+
+
+# Files on which the numpy reader and the csv reader could part: name ->
+# (file contents, or None for no file; --ordering values).
+READER_CORPUS = {
+    **{f"fault: {case}": (text, flags[1::2]) for case, (text, flags, _) in INGEST_FAULTS.items()},
+    "missing file": (None, []),
+    "not UTF-8": (b"x,y\n\xff,1\n2,3\n", []),
+    "field past the csv limit": ("x,y\n1," + "9" * 200_000 + "\n", []),
+    "CRLF endings": ("t,x,y\r\n1,2,3\r\n2,5,4\r\n3,1,8\r\n", ["t"]),
+    "quoted number": ('x,y\n"1",2\n3,4\n', []),
+    "underscore in a number": ("x,y\n1_000,2\n3,4\n", []),
+    "plus sign": ("x,y\n+1,2\n3,4\n", []),
+    "padded number": ("x,y\n 1.5 ,2\n3,4\n", []),
+    "nan": ("x,y\nnan,2\n3,4\n", []),
+    "inf": ("x,y\n1,inf\n3,4\n", []),
+    "overflow to inf": ("x,y\n1e309,2\n3,4\n", []),
+    "non-ASCII digits": ("x,y\n\u0661\u0662,2\n3,4\n", []),
+    "lone #": ("x,y\n#,2\n3,4\n", []),
+    "whitespace-only line": ("x,y\n1,2\n  \n3,4\n", []),
+    "ASCII separator in an ordering": ("t,x,y\n1\x1c,2,3\n2,5,4\n", ["t"]),
+    "NUL in the header": ("x\x00,y\n1,2\n3,4\n", []),
+    "blank last line": ("x,y\n1,2\n\n", []),
+    "blank header line": ("\n1,2\n3,4\n", []),
+    "blank header line over one column": ("\n1\n2\n", []),
+    "header then a blank line": ("x,y\n\n", []),
+    "quoted header name": ('x,"y"\n1,2\n3,4\n', []),
+    "duplicate header over numbers": ("x,x,y\n1,2,3\n4,5,6\n", []),
+    "every row short": ("x,y\n1\n2\n", []),
+    "single column": ("x\n1\n2\n4\n", ["x"]),
+    "no final newline": ("t,x,y\n1,2,3\n2,5,4", ["t:time"]),
+    "byte-order mark": ("\ufefft,x,y\n1,2,3\n2,5,4\n", ["t:time"]),
+    "inferred kinds": ("t,g,k,x,y\n1,0,3,2,3\n2,1,1,5,4\n3,0,2,1,8\n", ["t", "g", "k"]),
+    "declared kinds": ("t,g,x,y\n1,0,2,3\n2,1,5,4\n3,0,1,8\n", ["t:time", "g:binary_group"]),
+    "declared categorical": ("t,g,x,y\n1,0,2,3\n2,1,5,4\n3,0,1,8\n", ["g:categorical"]),
+    "unknown kind": ("t,x,y\n1,2,3\n2,5,4\n", ["t:sideways"]),
+    "unknown ordering in a numeric file": ("t,x,y\n1,2,3\n2,5,4\n", ["t", "nope"]),
+    "time ordering not increasing": ("t,x,y\n2,2,3\n1,5,4\n", ["t:time"]),
+    "benchmark-like 5,000 rows": (benchmark_like_csv(5000), ["t:time", "g"]),
+}
+
+
+def read_outcome(read, path, specs):
+    """What a reader makes of a file: its columns and orderings, bit for bit, or its error."""
+    try:
+        data = read(path, specs)
+    except RevcheckError as exc:
+        return type(exc), str(exc)
+    # Contiguity too: a strided column changes the last bits of the fits.
+    columns = [(name, values.dtype, values.flags.c_contiguous, values.tobytes()) for name, values in data.columns.items()]
+    orderings = [
+        (name, o.kind, o.values.dtype, o.values.tolist() if o.values.dtype == object else o.values.tobytes())
+        for name, o in data.orderings.items()
+    ]
+    return columns, orderings
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(READER_CORPUS))
+def test_read_dataset_matches_the_csv_reader(case, tmp_path):
+    contents, specs = READER_CORPUS[case]
+    path = tmp_path / "in.csv"
+    if contents is not None:
+        path.write_bytes(contents.encode("utf-8") if isinstance(contents, str) else contents)
+    assert read_outcome(cli._read_dataset, str(path), specs) == read_outcome(cli._read_csv, str(path), specs)
+
+
+def test_read_dataset_uses_the_csv_module_only_when_it_must(tmp_path, capsys, monkeypatch):
+    class CsvReaderCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise CsvReaderCalled
+
+    # With csv.reader refused, a plain numeric file must still be read, and
+    # each of the other kinds of file must reach the csv module.
+    monkeypatch.setattr(cli.csv, "reader", refuse)
+    numeric = "t,g,x,y\n1,0,2.5,3\n2,1,5,4\n3,0,1,8\n4,1,2,2\n"
+    path = write_csv(tmp_path / "plain.csv", numeric)
+    data = cli._read_dataset(path, ["t:time", "g"])
+    assert {name: o.kind for name, o in data.orderings.items()} == {"t": "time", "g": "binary_group"}
+    assert data.columns["x"].tolist() == [2.5, 5.0, 1.0, 2.0]
+    # A benchmark-sized analysis never reaches the csv module.
+    big = write_csv(tmp_path / "big.csv", benchmark_like_csv(5000))
+    code, _, err = run(["analyze-regression", big, "--response", "y", "--regressors", "x", "--ordering", "t:time"], capsys)
+    assert (code, err) == (0, "")
+    for text, specs in (
+        ('t,g,x,y\n1,"a, b",2,3\n2,c,5,4\n3,c,1,8\n', ["g"]),
+        (numeric.replace("\n", "\r\n"), ["t:time", "g"]),
+        (numeric, ["t:time", "g:categorical"]),
+    ):
+        path = write_csv(tmp_path / "other.csv", text)
+        with pytest.raises(CsvReaderCalled):
+            cli._read_dataset(path, specs)
+
+
 def test_analyze_regression_infers_ordering_kinds(tmp_path, capsys, monkeypatch):
     # Values in {0, 1} are binary, strictly increasing values are time, and
     # anything else (labels, or numbers neither binary nor increasing) is
@@ -574,6 +690,15 @@ def test_analyze_table_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     code, out, err = run(["analyze-table", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_analyze_table_ignores_a_byte_order_mark(tmp_path, capsys):
+    fixture = fixture_path("lindley_novick.json")
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+    expected = run(["analyze-table", str(fixture)], capsys)
+    assert expected[0] == 0
+    assert run(["analyze-table", str(path)], capsys) == expected
 
 
 def test_analyze_table_rejects_json_nested_too_deep(tmp_path, capsys):

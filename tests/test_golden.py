@@ -52,13 +52,27 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path, capsys) -> str:
+# The cases that analyse a CSV. Their data is checked with LF line endings,
+# which the numpy reader takes, and with CRLF endings, which only the csv
+# module's reader takes; both must give the golden report.
+CSV_CASES = sorted(name for name, (simulate_argv, _) in CASES.items() if simulate_argv is not None)
+
+
+def use_crlf(path) -> None:
+    """Rewrite the LF line endings of the file at path as CRLF."""
+    path = Path(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def run_case(name: str, workdir: Path, capsys, crlf: bool = False) -> str:
     """The CLI's stdout for case `name`, with any data written under workdir."""
     simulate_argv, argv = CASES[name]
     csv_path = workdir / "data.csv"
     if simulate_argv is not None:
         assert cli.main(simulate_argv + ["--out", str(csv_path)]) == 0
         capsys.readouterr()
+        if crlf:
+            use_crlf(csv_path)
     argv = [
         str(fixture_path(arg[len("{fixture:") : -1])) if arg.startswith("{fixture:") else arg
         for arg in argv
@@ -91,6 +105,15 @@ def assert_matches(actual, expected, path="$"):
 def test_report_matches_golden(name, tmp_path, capsys):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert_matches(json.loads(run_case(name, tmp_path, capsys)), expected)
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_report_matches_golden_with_crlf_lines(name, tmp_path, capsys):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    report = run_case(name, tmp_path, capsys, crlf=True)
+    assert_matches(json.loads(report), expected)
+    # The two readers give the same report byte for byte, not only to rtol.
+    assert report == run_case(name, tmp_path, capsys)
 
 
 def test_matcher_rejects_changed_values():
