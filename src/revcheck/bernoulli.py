@@ -4,7 +4,8 @@ Count data arrive as 2 x 2 tables: rows are the outcome (success on top,
 failure below), columns are the two groups being compared. A stratified
 family couples an aggregate table with named stratum tables over the same
 groups; `complete` records whether the strata exhaust the aggregate or are
-only a partial stratification.
+only a partial stratification. The family also holds its strata as one
+stacked (k, 2, 2) count array, which every test over strata reads.
 
 The aggregate comparison of two group rates is trustworthy only if the
 success rate is constant across strata inside each group; the chi-square
@@ -14,7 +15,8 @@ the result together with the per-stratum rate orderings into a narrative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,20 +32,58 @@ from .verdict import _fmt, format_p
 
 
 def _check_count(value, name: str) -> int:
+    if type(value) is int and 0 <= value < 2**53:
+        return value
     try:
         as_float = float(value)
     except (TypeError, ValueError):
         as_float = None
+    except OverflowError:  # an integer beyond the float range
+        problem = "less than 2**53" if value > 0 else "a non-negative integer"
+        raise InvalidCounts(f"{name} must be {problem}, got {value!r}") from None
     # float() reads True as 1, but a boolean is not a count.
     if as_float is None or isinstance(value, (bool, np.bool_)):
         raise InvalidCounts(f"{name} must be a number, got {value!r}")
-    if not np.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
+    if not math.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
         raise InvalidCounts(f"{name} must be a non-negative integer, got {value!r}")
     # Past 2**53 a float no longer holds every integer, so the count read
     # could differ from the count written.
     if as_float >= 2**53:
         raise InvalidCounts(f"{name} must be less than 2**53, got {value!r}")
     return int(as_float)
+
+
+def _is_pair(row) -> bool:
+    """Whether numpy would read row as a row of two cells."""
+    if isinstance(row, (str, bytes, dict, set, frozenset)):
+        return False
+    return len(row) == 2 and not (isinstance(row, np.ndarray) and row.ndim != 1)
+
+
+def _checked_cells(counts) -> list:
+    """The four counts of a 2 x 2 table, each checked, as two rows.
+
+    Cells are read as written: np.asarray would turn a True among numbers
+    into 1. numpy only words an error: a table that numpy does not read as
+    2 x 2 gets the shape error, which comes before any cell's error, and
+    numpy's ValueError for ragged nested lists passes through.
+    """
+    error = None
+    try:
+        if len(counts) == 2:
+            first, second = counts
+            if _is_pair(first) and _is_pair(second):
+                (a, b), (c, d) = first, second
+                return [
+                    [_check_count(a, "counts[0][0]"), _check_count(b, "counts[0][1]")],
+                    [_check_count(c, "counts[1][0]"), _check_count(d, "counts[1][1]")],
+                ]
+    except (TypeError, InvalidCounts) as exc:
+        error = exc
+    shape = np.shape(counts)
+    if shape != (2, 2) or not isinstance(error, InvalidCounts):
+        raise InvalidCounts(f"counts must be 2 x 2, got shape {shape}")
+    raise error
 
 
 @dataclass(frozen=True)
@@ -55,16 +95,10 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.shape != (2, 2):
-            raise InvalidCounts(f"counts must be 2 x 2, got shape {counts.shape}")
-        # Cells are read as written: np.asarray turns a True among numbers into 1.
-        checked = np.array(
-            [[_check_count(self.counts[i][j], f"counts[{i}][{j}]") for j in range(2)] for i in range(2)]
-        )
-        if np.any(checked.sum(axis=0) < 1):
+        (a, b), (c, d) = checked = _checked_cells(self.counts)
+        if a + c < 1 or b + d < 1:
             raise InvalidCounts("each group column needs at least one observation")
-        object.__setattr__(self, "counts", checked)
+        object.__setattr__(self, "counts", np.array(checked))
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         if len(self.row_labels) != 2 or len(self.col_labels) != 2:
@@ -84,11 +118,17 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class StratifiedTables:
-    """An aggregate table plus named stratum tables over the same groups."""
+    """An aggregate table plus named stratum tables over the same groups.
+
+    `counts` is the strata's counts stacked into one (k, 2, 2) integer
+    array, in stratum order, built once here; the tests over strata read it
+    rather than the stratum tables.
+    """
 
     aggregate: ContingencyTable
     strata: tuple
     complete: bool
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         strata = tuple(self.strata)
@@ -97,19 +137,21 @@ class StratifiedTables:
         names = [name for name, _ in strata]
         if len(set(names)) != len(names):
             raise InvalidSpec("stratum names must be unique")
-        total = np.zeros((2, 2), dtype=int)
+        rows, cols = self.aggregate.row_labels, self.aggregate.col_labels
         for name, table in strata:
-            if table.col_labels != self.aggregate.col_labels:
+            if table.col_labels != cols:
                 raise MismatchedInputs(f"stratum {name!r} has different group labels than the aggregate")
-            if table.row_labels != self.aggregate.row_labels:
+            if table.row_labels != rows:
                 raise MismatchedInputs(f"stratum {name!r} has different outcome labels than the aggregate")
-            total += table.counts
+        counts = np.array([table.counts for _, table in strata])
+        total = counts.sum(axis=0)
         if self.complete:
             if not np.array_equal(total, self.aggregate.counts):
                 raise InvalidCounts("complete stratification must sum exactly to the aggregate")
         elif np.any(total > self.aggregate.counts):
             raise InvalidCounts("stratum counts exceed the aggregate")
         object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -239,8 +281,9 @@ def homogeneity_test(tables: StratifiedTables, column, alpha: float = 0.05) -> H
     k = len(tables.strata)
     if k < 2:
         raise TooFewStrata("homogeneity needs at least two strata")
-    successes = np.array([table.successes(col) for _, table in tables.strata], dtype=float)
-    totals = np.array([table.total(col) for _, table in tables.strata], dtype=float)
+    group = tables.counts[:, :, col]
+    successes = group[:, 0].astype(float)
+    totals = group.sum(axis=1).astype(float)
     pooled = successes.sum() / totals.sum()
     if pooled in (0.0, 1.0):
         raise DegeneratePool("pooled rate over strata is 0 or 1")
@@ -297,7 +340,7 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     if not 0 < alpha < 1:
         raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
     labels = tables.aggregate.col_labels
-    counts = np.array([tables.aggregate.counts] + [table.counts for _, table in tables.strata])
+    counts = np.concatenate([tables.aggregate.counts[None], tables.counts])
     rates, z, p, pooled = _two_proportion_rows(counts)
     rate0, rate1 = rates[0].tolist()
     agg_dir = int(np.sign(rate0 - rate1))
@@ -324,8 +367,8 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
     )
     if flipped:
         parts = []
-        for name, r0, r1 in per_stratum:
-            if name in flipped:
+        for (name, r0, r1), direction in zip(per_stratum, directions):
+            if direction * agg_dir < 0:
                 note = "; margin below display precision" if abs(r0 - r1) < 0.005 or round(r0, 2) == round(r1, 2) else ""
                 parts.append(f"{name} ({_fmt(r0, 2)} vs {_fmt(r1, 2)}{note})")
         lines.append("Strata ordering the groups the other way: " + ", ".join(parts) + ".")

@@ -286,8 +286,11 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
     for name in header:
         if name not in orderings and name not in floats:
             for cell in cells[name]:
+                # The message quotes the cell stripped, unless only the cell as
+                # written fails: str.strip removes \x1c-\x1f, which float() refuses.
                 try:
                     float(cell.strip())
+                    float(cell)
                 except ValueError as exc:
                     raise InvalidSpec(f"column {name!r} is not numeric: {exc}") from None
     return Dataset(columns={name: floats[name] for name in header if name not in orderings}, orderings=orderings)

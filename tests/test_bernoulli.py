@@ -18,6 +18,7 @@ from revcheck.bernoulli import (
     triple_from_tables,
     two_proportion_test,
 )
+from revcheck.core_stats import ChiSquare, Normal, tail_prob
 from revcheck.errors import (
     DegeneratePool,
     InvalidCounts,
@@ -365,3 +366,178 @@ def test_reversal_present_follows_the_strata_direction():
     assert v.strata_p_value == min(
         two_proportion_test(t.successes(0), t.total(0), t.successes(1), t.total(1)).p_value for _, t in strata
     )
+
+
+def seeded_family(complete: bool) -> dict:
+    """A seeded JSON family of 50 strata, some with small totals.
+
+    Stratum s7's pooled rate is 0 and s11's two rates are equal; a partial
+    family adds counts to the aggregate that no stratum holds.
+    """
+    rng = np.random.default_rng(19)
+    strata = []
+    for _ in range(50):
+        totals = rng.integers(3, 200, size=2)
+        successes = rng.binomial(totals, rng.uniform(0.05, 0.95, size=2))
+        strata.append([successes.tolist(), (totals - successes).tolist()])
+    strata[7] = [[0, 0], [12, 30]]
+    strata[11] = [[10, 20], [10, 20]]
+    aggregate = np.sum(strata, axis=0) + (0 if complete else np.array([[5, 0], [3, 9]]))
+    return {
+        "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": aggregate.tolist()},
+        "strata": [{"name": f"s{i}", "counts": counts} for i, counts in enumerate(strata)],
+        "complete": complete,
+    }
+
+
+def sign(value: float) -> int:
+    return (value > 0) - (value < 0)
+
+
+def per_table_results(obj: dict) -> dict:
+    """What a family's verdict must say, recomputed one table at a time in plain Python."""
+    (agg_s0, agg_s1), (agg_f0, agg_f1) = obj["aggregate"]["counts"]
+    agg_dir = sign(agg_s0 / (agg_s0 + agg_f0) - agg_s1 / (agg_s1 + agg_f1))
+    per_stratum, directions, ps = [], [], []
+    for entry in obj["strata"]:
+        (s0, s1), (f0, f1) = entry["counts"]
+        n0, n1 = s0 + f0, s1 + f1
+        r0, r1 = s0 / n0, s1 / n1
+        pooled = (s0 + s1) / (n0 + n1)
+        if pooled in (0.0, 1.0):
+            ps.append(1.0)
+        else:
+            z = (r0 - r1) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n0 + 1.0 / n1))
+            ps.append(tail_prob(Normal(), z, "two"))
+        per_stratum.append((entry["name"], r0, r1))
+        directions.append(sign(r0 - r1))
+    homogeneity = []
+    for col in (0, 1):
+        successes = [entry["counts"][0][col] for entry in obj["strata"]]
+        totals = [entry["counts"][0][col] + entry["counts"][1][col] for entry in obj["strata"]]
+        pooled = sum(successes) / sum(totals)
+        chi2, small = 0.0, False
+        for s, n in zip(successes, totals):
+            expected_s, expected_f = n * pooled, n * (1.0 - pooled)
+            chi2 += (s - expected_s) ** 2 / expected_s + ((n - s) - expected_f) ** 2 / expected_f
+            small = small or expected_s < 5 or expected_f < 5
+        df = len(totals) - 1
+        homogeneity.append((chi2, df, tail_prob(ChiSquare(df), chi2, "one"), small))
+    return {
+        "per_stratum": per_stratum,
+        "flipped": [name for (name, _, _), d in zip(per_stratum, directions) if d * agg_dir < 0],
+        "strata_direction": sign(sum(directions)),
+        "strata_p_value": min(ps),
+        "homogeneity": homogeneity,
+    }
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_stacked_family_matches_a_per_table_recomputation(complete):
+    obj = seeded_family(complete)
+    tables = stratified_tables_from_json(obj)
+    assert tables.counts.shape == (50, 2, 2)
+    assert tables.counts.tolist() == [entry["counts"] for entry in obj["strata"]]
+    v = aggregate_verdict(tables)
+    expected = per_table_results(obj)
+    assert list(v.per_stratum) == expected["per_stratum"]
+    assert ("s7", 0.0, 0.0) in v.per_stratum and ("s11", 0.5, 0.5) in v.per_stratum
+    assert list(v.flipped_strata) == expected["flipped"] and v.flipped_strata
+    assert v.strata_direction == expected["strata_direction"]
+    assert math.isclose(v.strata_p_value, expected["strata_p_value"], rel_tol=1e-12)
+    for label, (chi2, df, p, small) in zip(("a", "b"), expected["homogeneity"]):
+        result = v.homogeneity[label]
+        assert result == homogeneity_test(tables, label)
+        assert math.isclose(result.chi2, chi2, rel_tol=1e-12)
+        assert result.df == df == 49
+        assert math.isclose(result.p_value, p, rel_tol=1e-9)
+        assert result.small_sample_warning is small
+    assert any(small for *_, small in expected["homogeneity"])
+
+
+@pytest.mark.parametrize(
+    "form", [lambda c: tuple(map(tuple, c)), lambda c: [list(row) for row in c], np.array], ids=["tuple", "list", "ndarray"]
+)
+@pytest.mark.parametrize("complete", [True, False])
+def test_a_family_built_from_tables_gives_the_verdict_of_its_json(form, complete):
+    obj = seeded_family(complete)
+
+    def table(counts):
+        return ContingencyTable(("yes", "no"), ("a", "b"), form(counts))
+
+    built = StratifiedTables(
+        aggregate=table(obj["aggregate"]["counts"]),
+        strata=[(entry["name"], table(entry["counts"])) for entry in obj["strata"]],
+        complete=complete,
+    )
+    read = stratified_tables_from_json(obj)
+    assert built.counts.dtype == read.counts.dtype and np.array_equal(built.counts, read.counts)
+    assert aggregate_verdict(built) == aggregate_verdict(read)
+
+
+@pytest.mark.parametrize("value", [0, 2**53 - 1, np.int64(3), 3.0, "3", np.float64(7.0)])
+def test_a_number_that_is_a_whole_count_is_read_as_an_int(value):
+    table = ContingencyTable(("a", "b"), ("l", "r"), [[value, 1], [2, 3]])
+    assert table.counts.tolist() == [[int(float(value)), 1], [2, 3]]
+    assert table.counts.dtype == np.array([[1]]).dtype
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (2**53, "must be less than 2**53, got 9007199254740992"),
+        (10**400, f"must be less than 2**53, got {10**400}"),
+        (-1, "must be a non-negative integer, got -1"),
+        (-(10**400), f"must be a non-negative integer, got {-(10**400)}"),
+        (2.5, "must be a non-negative integer, got 2.5"),
+        (float("inf"), "must be a non-negative integer, got inf"),
+        (True, "must be a number, got True"),
+        (np.True_, f"must be a number, got {np.True_!r}"),
+        ("three", "must be a number, got 'three'"),
+    ],
+    ids=["2**53", "10**400", "-1", "-10**400", "2.5", "inf", "True", "np.True_", "three"],
+)
+def test_counts_rejected_with_their_message(value, message):
+    with pytest.raises(InvalidCounts) as caught:
+        ContingencyTable(("a", "b"), ("l", "r"), [[1, 2], [3, value]])
+    assert str(caught.value) == f"counts[1][1] {message}"
+
+
+@pytest.mark.parametrize(
+    "counts, shape",
+    [
+        ([[1, 2], [3]], None),
+        ([[1, 2]], (1, 2)),
+        (["12", "34"], (2,)),
+        ({"ab": 1, "cd": 2}, ()),
+        ([[[True], [2]], [[3], [4]]], (2, 2, 1)),
+        (np.ones((2, 2, 1), dtype=int), (2, 2, 1)),
+        ([[1, 2], {3, 4}], None),
+        (7, ()),
+    ],
+)
+def test_a_shape_error_is_worded_by_numpy_and_comes_first(counts, shape):
+    if shape is None:  # numpy's error for ragged nested lists
+        with pytest.raises(ValueError):
+            ContingencyTable(("a", "b"), ("l", "r"), counts)
+        return
+    with pytest.raises(InvalidCounts) as caught:
+        ContingencyTable(("a", "b"), ("l", "r"), counts)
+    assert str(caught.value) == f"counts must be 2 x 2, got shape {shape}"
+
+
+def test_the_first_bad_stratum_is_reported():
+    bad_count = "strata[3]: counts[0][1] must be a non-negative integer, got -4"
+    bad_name = "malformed stratified-tables JSON: strata[3] name must be a string or a number, got None"
+    obj = seeded_family(True)
+    obj["strata"][3]["counts"][0][1] = -4
+    obj["strata"][5]["name"] = None
+    with pytest.raises(InvalidCounts) as caught:
+        stratified_tables_from_json(obj)
+    assert str(caught.value) == bad_count
+    obj = seeded_family(True)
+    obj["strata"][3]["name"] = None
+    obj["strata"][5]["counts"][0][1] = -4
+    with pytest.raises(InvalidSpec) as caught:
+        stratified_tables_from_json(obj)
+    assert str(caught.value) == bad_name

@@ -350,6 +350,18 @@ INGEST_FAULTS = {
         [],
         "column 'y' is not numeric: could not convert string to float: 'abc'",
     ),
+    # str.strip removes \x1c-\x1f but float() refuses them, so the cell as
+    # written is the one that does not convert.
+    "ASCII separator after a number": (
+        "x,y\n1\x1c,2\n3,4\n5,7\n",
+        [],
+        "column 'x' is not numeric: could not convert string to float: '1\\x1c'",
+    ),
+    "ASCII separator before a number": (
+        "x,y\n1,2\n3,\x1f4\n5,7\n",
+        [],
+        "column 'y' is not numeric: could not convert string to float: '\\x1f4'",
+    ),
 }
 
 

@@ -17,10 +17,14 @@ from revcheck.fixtures import fixture_path
 GOLDEN = Path(__file__).parent / "golden"
 
 # name -> (simulate argv writing data.csv, or None; analysis argv, where
-# "{csv}" stands for data.csv and "{fixture:NAME}" for a bundled fixture).
+# "{csv}" stands for data.csv, "{fixture:NAME}" for a bundled fixture and
+# "{golden:PATH}" for an input file under tests/golden/).
 CASES = {
     "berkeley": (None, ["analyze-table", "{fixture:berkeley.json}"]),
     "lindley_novick": (None, ["analyze-table", "{fixture:lindley_novick.json}"]),
+    # A partial family of 60 strata: some order the groups against the
+    # aggregate, most with it, and site42's pooled rate is 1.
+    "many_strata": (None, ["analyze-table", "{golden:inputs/many_strata.json}"]),
     "trending_corrected": (
         ["--seed", "5", "simulate", "trending"],
         ["analyze-regression", "{csv}", "--response", "y", "--regressors", "x", "--ordering", "t:time"],
@@ -64,6 +68,15 @@ def use_crlf(path) -> None:
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
 
 
+def input_path(arg: str, csv_path) -> str:
+    """An analysis argument with its input placeholder, if any, resolved."""
+    if arg.startswith("{fixture:"):
+        return str(fixture_path(arg[len("{fixture:") : -1]))
+    if arg.startswith("{golden:"):
+        return str(GOLDEN / arg[len("{golden:") : -1])
+    return str(csv_path) if arg == "{csv}" else arg
+
+
 def run_case(name: str, workdir: Path, capsys, crlf: bool = False) -> str:
     """The CLI's stdout for case `name`, with any data written under workdir."""
     simulate_argv, argv = CASES[name]
@@ -73,11 +86,7 @@ def run_case(name: str, workdir: Path, capsys, crlf: bool = False) -> str:
         capsys.readouterr()
         if crlf:
             use_crlf(csv_path)
-    argv = [
-        str(fixture_path(arg[len("{fixture:") : -1])) if arg.startswith("{fixture:") else arg
-        for arg in argv
-    ]
-    argv = [str(csv_path) if arg == "{csv}" else arg for arg in argv]
+    argv = [input_path(arg, csv_path) for arg in argv]
     code = cli.main(["--output", "json"] + argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
