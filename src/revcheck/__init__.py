@@ -68,7 +68,6 @@ from .parameterization import (
     check_reversal_conditions,
     corr_from_slope,
     derive_full_params,
-    derive_full_params_matrix,
     derive_simple_params,
     joint_moments_from_correlations,
 )
@@ -84,7 +83,6 @@ from .regression import (
     coefficient_test,
     design_matrix,
     fit,
-    subset_fit,
 )
 from .simulate import (
     BernoulliIid,
@@ -161,7 +159,6 @@ __all__ = [
     "corrected_correlation",
     "dememorize",
     "derive_full_params",
-    "derive_full_params_matrix",
     "derive_simple_params",
     "design_matrix",
     "detrend",
@@ -181,7 +178,6 @@ __all__ = [
     "run_battery",
     "sample_moments",
     "stratified_tables_from_json",
-    "subset_fit",
     "tail_prob",
     "triple_from_tables",
     "two_proportion_test",

@@ -251,24 +251,12 @@ class HomogeneityResult:
     small_sample_warning: bool
 
 
-def _resolve_column(tables: StratifiedTables, column) -> int:
-    if isinstance(column, str):
-        try:
-            return tables.aggregate.col_labels.index(column)
-        except ValueError:
-            raise InvalidSpec(f"no group labeled {column!r}") from None
-    column = int(column)
-    if column not in (0, 1):
-        raise InvalidSpec("column index must be 0 or 1")
-    return column
-
-
 def homogeneity_test(tables: StratifiedTables, column, alpha: float = 0.05) -> HomogeneityResult:
     """Pearson chi-square test of a constant success rate across strata.
 
-    Tests, for the given group column, whether every stratum shares one
-    success rate; df = (number of strata) - 1. id_holds is true when the
-    test does not reject at alpha. Expected cell counts below 5 set
+    Tests, for group column 0 or 1 of the tables, whether every stratum
+    shares one success rate; df = (number of strata) - 1. id_holds is true
+    when the test does not reject at alpha. Expected cell counts below 5 set
     small_sample_warning but the statistic is still computed.
 
     Raises:
@@ -277,11 +265,12 @@ def homogeneity_test(tables: StratifiedTables, column, alpha: float = 0.05) -> H
     """
     if not 0 < alpha < 1:
         raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    col = _resolve_column(tables, column)
+    if column not in (0, 1):
+        raise InvalidSpec("column index must be 0 or 1")
     k = len(tables.strata)
     if k < 2:
         raise TooFewStrata("homogeneity needs at least two strata")
-    group = tables.counts[:, :, col]
+    group = tables.counts[:, :, int(column)]
     successes = group[:, 0].astype(float)
     totals = group.sum(axis=1).astype(float)
     pooled = successes.sum() / totals.sum()

@@ -435,7 +435,8 @@ def cmd_analyze_table(args) -> str:
             obj = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read {args.json_path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's digit limit.
         raise InvalidSpec(f"{args.json_path} is not valid JSON: {exc}") from None
     tables = bernoulli.stratified_tables_from_json(obj)
     alpha = args.alpha
@@ -539,12 +540,10 @@ def cmd_simulate(args) -> str:
             joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
             kind = simulate.NiidRegression(joint, 100 if args.n is None else args.n)
         descriptor = _mc_test_descriptor(args, kind)
+        if args.threads < 1:
+            raise InvalidSpec("threads must be >= 1")
         result = simulate.mc_error_rate(
-            simulate.DgpSpec(kind, seed),
-            descriptor,
-            alpha=args.alpha,
-            replications=args.reps,
-            threads=args.threads,
+            simulate.DgpSpec(kind, seed), descriptor, alpha=args.alpha, replications=args.reps
         )
         if args.output == "json":
             payload = {

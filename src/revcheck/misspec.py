@@ -24,10 +24,11 @@ column builder. The variance ratio refits the base design on each group's
 rows, split by the same level rule as a Shift term. Every check goes
 straight to the least-squares kernel, without a Dataset, a ModelSpec, a
 model fit or per-term inference: the joint F needs only the full fit's RSS
-and its Q'y, and the ratio only each group's residuals. `run_battery` runs
-one declared list of checks, each feeding the assumptions it probes. Each
-assumption ends up marked pass, fail, or untested; a check that cannot run
-is never reported as a pass.
+and its Q'y, and the ratio only each group's residuals. Every check
+returns one CheckResult. `run_battery` runs one declared list of checks,
+each feeding the assumptions it probes. Each assumption ends up marked
+pass, fail, or untested; a check that cannot run is never reported as a
+pass.
 
 The module also provides the detrend / dememorize transforms and the
 corrected correlation used to screen trending, temporally dependent pairs
@@ -90,19 +91,12 @@ class BatteryConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A scalar diagnostic: its statistic and p-value."""
+    """A diagnostic's statistic and p-value; an auxiliary regression's
+    F-test also names its added terms, in design order."""
 
     stat: float
     p: float
-
-
-@dataclass(frozen=True)
-class AuxiliaryResult:
-    """An auxiliary residual regression with a joint F-test of added terms."""
-
-    added_terms: tuple
-    joint_f_stat: float
-    joint_p: float
+    terms: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def _plain_regressors(base: FitResult) -> tuple:
     return base.spec.regressors
 
 
-def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> AuxiliaryResult:
+def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> CheckResult:
     """F-test of the `added` (name, column) pairs in the regression of
     response on an intercept, base_columns and the added columns, in that
     order. The fit without the last q columns has this fit's RSS plus the
@@ -190,8 +184,8 @@ def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> Aux
     rss = float(solves.residuals @ solves.residuals)
     qty_added = solves.qty[-q:]
     f_stat = (float(qty_added @ qty_added) / q) / (rss / df_den)
-    joint_p = tail_prob(FisherF(q, df_den), f_stat, "one")
-    return AuxiliaryResult(tuple(name for name, _ in added), float(f_stat), float(joint_p))
+    p = tail_prob(FisherF(q, df_den), f_stat, "one")
+    return CheckResult(float(f_stat), float(p), tuple(name for name, _ in added))
 
 
 def _regressor_terms(data: Dataset, base: FitResult) -> list:
@@ -209,7 +203,7 @@ def _regressor_terms(data: Dataset, base: FitResult) -> list:
     return terms
 
 
-def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConfig()) -> AuxiliaryResult:
+def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConfig()) -> CheckResult:
     """Probe the residuals for trend and memory left by the base fit.
 
     Regresses the residuals on the original regressors plus normalized time
@@ -221,12 +215,9 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
     """
     _require_live_fit(base)
     regressors = _plain_regressors(base)
-    window = base.row_index
-    if window.size > 1 and not np.all(np.diff(window) == 1):
-        raise InvalidSpec("trend/lag diagnostics need a contiguous fit window")
     lags = cfg.lag_count
-    usable = window >= lags
-    rows = window[usable]
+    usable = base.row_index >= lags
+    rows = base.row_index[usable]
     if rows.size == 0:
         raise Underdetermined("lag depth leaves no usable rows")
 
@@ -236,7 +227,7 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
     return _added_terms_f(base.residuals[usable], [data.column(name)[rows] for name in regressors], added)
 
 
-def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> AuxiliaryResult:
+def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     """Probe for level shifts of the residual mean across ordering groups.
 
     Regresses the residuals on the original regressors plus the group
@@ -251,7 +242,7 @@ def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> Auxili
     return _added_terms_f(base.residuals, [data.column(name)[rows] for name in regressors], added)
 
 
-def linearity_check(data: Dataset, base: FitResult) -> AuxiliaryResult:
+def linearity_check(data: Dataset, base: FitResult) -> CheckResult:
     """Probe for curvature: residuals on regressors plus squared regressors.
 
     Squares of two-valued (dummy) regressors are skipped since they carry
@@ -354,8 +345,7 @@ def _squared_residual_regression(data: Dataset, base: FitResult) -> CheckResult:
     added = [(name, column) for name, column, _ in _regressor_terms(data, base)]
     if not added:
         raise InvalidSpec("no regressors available for the variance regression")
-    aux = _added_terms_f(base.residuals**2, [], added)
-    return CheckResult(stat=aux.joint_f_stat, p=aux.joint_p)
+    return _added_terms_f(base.residuals**2, [], added)
 
 
 def homoskedasticity_check(data: Dataset, base: FitResult, ordering: str = None) -> CheckResult:
@@ -538,7 +528,7 @@ def run_battery(data: Dataset, base: FitResult, cfg: BatteryConfig = BatteryConf
             continue
         evidence.append((name, result))
         for label in labels:
-            checks[label].append(result.p if isinstance(result, CheckResult) else result.joint_p)
+            checks[label].append(result.p)
 
     statuses, p_values = assess_assumptions(checks, cfg.alpha)
     return MisspecReport(statuses, p_values, tuple(evidence), source=source)

@@ -65,6 +65,11 @@ class JointMoments:
             tol = _SYM_RTOL * max(map(abs, entries[:9]))
             if abs(s01 - s10) > tol or abs(s02 - s20) > tol or abs(s12 - s21) > tol:
                 raise MismatchedInputs("sigma must be symmetric")
+            # The minors below are the symmetric part's: pairs of opposite
+            # sign would otherwise add their product to minor2 and det.
+            s01 = s10 = (s01 + s10) / 2
+            s02 = s20 = (s02 + s20) / 2
+            s12 = s21 = (s12 + s21) / 2
         # An all-zero sigma is symmetric and fails s00 > 0 below.
         minor2 = s00 * s11 - s01 * s10
         det = s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20) + s02 * (
@@ -155,27 +160,6 @@ def derive_full_params(m: JointMoments) -> FullRegressionParams:
     fields["beta2"] = beta2
     fields["sigma_u2"] = sigma_u2
     return params
-
-
-def derive_full_params_matrix(m: JointMoments) -> FullRegressionParams:
-    """Matrix-form route to the same parameters as derive_full_params.
-
-    Solves Cov(X) b = Cov(X, y) for the slope pair and evaluates the error
-    variance as Var(y) - Cov(X, y)' b. Kept as an independent route so the
-    closed-form algebra can be cross-checked numerically.
-    """
-    s = m.sigma
-    cov_xx = s[1:, 1:]
-    cov_xy = s[1:, 0]
-    try:
-        b = np.linalg.solve(cov_xx, cov_xy)
-    except np.linalg.LinAlgError:
-        raise SingularRegressorCovariance("regressor covariance block is singular") from None
-    beta0 = m.mu[0] - b @ m.mu[1:]
-    sigma_u2 = s[0, 0] - cov_xy @ b
-    return FullRegressionParams(
-        beta0=float(beta0), beta1=float(b[0]), beta2=float(b[1]), sigma_u2=float(sigma_u2)
-    )
 
 
 def derive_simple_params(m: JointMoments) -> SimpleRegressionParams:

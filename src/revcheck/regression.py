@@ -12,7 +12,6 @@ summaries, computed through the QR solver in core_stats.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,30 +354,6 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """Fit the model by least squares and summarize the estimates."""
     info = design_matrix(data, spec)
     return _summarize(spec, info, least_squares(info.matrix, info.response))
-
-
-def subset_fit(data: Dataset, spec: ModelSpec, ordering: str, group) -> FitResult:
-    """Fit the model on the rows where an ordering equals a group value.
-
-    Raises:
-        GroupTooSmall: if the selected group cannot identify the model.
-    """
-    ordering_var = data.ordering(ordering)
-    if ordering_var.kind == "time":
-        raise InvalidSpec("subset fits need a group ordering, not a time ordering")
-    mask = ordering_var.values == (float(group) if ordering_var.kind == "binary_group" else group)
-    rows = np.flatnonzero(mask)
-    p_lower_bound = len(spec.regressors) + int(spec.include_intercept)
-    if rows.size < p_lower_bound + 1:
-        raise GroupTooSmall(
-            f"group {group!r} of ordering {ordering!r} has {rows.size} rows, "
-            f"too few for {p_lower_bound} parameters"
-        )
-    try:
-        result = fit(data.take(rows), spec)
-    except EmptyData as exc:
-        raise GroupTooSmall(str(exc)) from None
-    return dataclasses.replace(result, row_index=rows[result.row_index])
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ aggregate error rate independent of how the work is split up.
 
 A Monte Carlo study generates and tests its replications in blocks of 256,
 held as stacked arrays with one row per replication, and runs the blocks
-one after another on the calling thread. Each row is exactly the dataset
-the replication's own stream gives: replication r is still
-rng_for(seed, r), but a block seeds its rows' streams in one vectorised
-pass and loads each into one reused generator before drawing its row. The
+one after another on the calling thread, so a study takes no thread
+count. Each row is exactly the dataset the replication's own stream
+gives: replication r is still rng_for(seed, r), but a block seeds its
+rows' streams in one vectorised pass and loads each into one reused
+generator before drawing its row. The
 correlation tests run the same stacked code as the per-dataset functions
 `naive_correlation_test` and `misspec.corrected_correlation`, which are its
 batch-of-one case. The coefficient test builds its own stacked design (an
@@ -516,7 +517,6 @@ def mc_error_rate(
     test: TestDescriptor,
     alpha: float = 0.05,
     replications: int = 10_000,
-    threads: int = 1,
 ) -> MonteCarloResult:
     """Empirical rejection rate of a test under a data-generating process.
 
@@ -525,8 +525,7 @@ def mc_error_rate(
     the arguments. Replications are generated and tested in blocks of 256 as
     stacked arrays, one block after another on the calling thread; each
     block computes its rows' generator states in one pass and draws every
-    row from one reused generator. `threads` is validated but changes
-    neither the result nor how the work runs.
+    row from one reused generator.
 
     Raises:
         InvalidSpec: if replications < 1000 (the rate would be too noisy
@@ -539,8 +538,6 @@ def mc_error_rate(
         raise InvalidSpec("use at least 1000 replications")
     if not 0 < alpha < 1:
         raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    if threads < 1:
-        raise InvalidSpec("threads must be >= 1")
 
     rejections = 0
     rng = np.random.Generator(np.random.PCG64())  # each row loads its own state

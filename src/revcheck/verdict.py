@@ -183,9 +183,11 @@ def adequacy_from_homogeneity(aggregate, source: str = "") -> MisspecReport:
     return MisspecReport(statuses, p_values, evidence, source=source)
 
 
-def untested_adequacy(assumptions: tuple = BERNOULLI_ASSUMPTIONS, source: str = "") -> MisspecReport:
-    """A report whose every assumption is untested (nothing ran)."""
-    return MisspecReport({a: UNTESTED for a in assumptions}, {a: None for a in assumptions}, (), source=source)
+def untested_adequacy(source: str = "") -> MisspecReport:
+    """A report whose every Bernoulli assumption is untested (nothing ran)."""
+    return MisspecReport(
+        dict.fromkeys(BERNOULLI_ASSUMPTIONS, UNTESTED), dict.fromkeys(BERNOULLI_ASSUMPTIONS), (), source=source
+    )
 
 
 def _fmt(value: float, decimals: int = 3) -> str:
@@ -204,9 +206,8 @@ def format_p(p: float) -> str:
     return "= " + _fmt(p)
 
 
-def format_fit(result: FitResult, response: str = None) -> str:
+def format_fit(result: FitResult) -> str:
     """One-line fit summary: coefficients with standard errors in parentheses."""
-    response = response if response is not None else result.spec.response
     pieces = []
     for name, coefficient, se in zip(result.term_names, result.coefficients, result.std_errors):
         value = f"{_fmt(coefficient)} ({_fmt(se)})"
@@ -214,7 +215,7 @@ def format_fit(result: FitResult, response: str = None) -> str:
             pieces.append(value)
         else:
             pieces.append(f"{value} {name}")
-    equation = f"{response} = " + " + ".join(pieces).replace("+ -", "- ")
+    equation = f"{result.spec.response} = " + " + ".join(pieces).replace("+ -", "- ")
     return f"{equation}; R^2 = {_fmt(result.r2)}, s = {_fmt(result.s)}, n = {result.n_used}"
 
 

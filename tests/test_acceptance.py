@@ -256,7 +256,7 @@ def test_criterion_06_check_sizes_near_nominal():
 
     designs = [
         ("normality n=500", lambda rng: normality_check(fit(xy(rng, 500), spec).residuals).p),
-        ("linearity n=50", lambda rng: (lambda ds: linearity_check(ds, fit(ds, spec)).joint_p)(xy(rng, 50))),
+        ("linearity n=50", lambda rng: (lambda ds: linearity_check(ds, fit(ds, spec)).p)(xy(rng, 50))),
         (
             "variance ratio 25+25",
             lambda rng: (lambda ds: homoskedasticity_check(ds, fit(ds, spec), ordering="g").p)(grouped(rng, 25)),
@@ -264,11 +264,11 @@ def test_criterion_06_check_sizes_near_nominal():
         ("squared residuals n=250", lambda rng: (lambda ds: homoskedasticity_check(ds, fit(ds, spec)).p)(xy(rng, 250))),
         (
             "trend and lags n=600",
-            lambda rng: (lambda ds: auxiliary_trend_lag_test(ds, fit(ds, spec)).joint_p)(xy(rng, 600)),
+            lambda rng: (lambda ds: auxiliary_trend_lag_test(ds, fit(ds, spec)).p)(xy(rng, 600)),
         ),
         (
             "ordering shift 30+30",
-            lambda rng: (lambda ds: ordering_shift_test(ds, fit(ds, spec), "g").joint_p)(grouped(rng, 30)),
+            lambda rng: (lambda ds: ordering_shift_test(ds, fit(ds, spec), "g").p)(grouped(rng, 30)),
         ),
     ]
     started = time.perf_counter()
@@ -320,7 +320,7 @@ def test_criterion_08_two_group_reversal_pipeline():
             group_reports.append(run_battery(sub, result, source="within-group regressions"))
         if pooled.coefficients[idx] < 0 and all(r.coefficients[r.index_of("x")] > 0 for r in group_fits):
             pattern += 1
-        if ordering_shift_test(data, pooled, "group").joint_p < 0.05:
+        if ordering_shift_test(data, pooled, "group").p < 0.05:
             shift_hits += 1
         marginal_report = run_battery(data, pooled, cfg, source="pooled regression")
         conditional_report = merge_reports(group_reports, cfg.alpha, "within-group regressions")

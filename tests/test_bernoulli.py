@@ -113,6 +113,12 @@ def test_homogeneity_needs_strata():
         homogeneity_test(single, 0)
 
 
+@pytest.mark.parametrize("column", [2, -1, "admitted"])
+def test_homogeneity_column_is_an_index(column):
+    with pytest.raises(InvalidSpec, match="column index must be 0 or 1"):
+        homogeneity_test(plots_tables(), column)
+
+
 def test_aggregate_verdict_admissions():
     v = aggregate_verdict(admissions_tables())
     assert v.aggregate_rates[0] == pytest.approx(3738 / 8442)
@@ -445,9 +451,9 @@ def test_stacked_family_matches_a_per_table_recomputation(complete):
     assert list(v.flipped_strata) == expected["flipped"] and v.flipped_strata
     assert v.strata_direction == expected["strata_direction"]
     assert math.isclose(v.strata_p_value, expected["strata_p_value"], rel_tol=1e-12)
-    for label, (chi2, df, p, small) in zip(("a", "b"), expected["homogeneity"]):
+    for column, (label, (chi2, df, p, small)) in enumerate(zip(("a", "b"), expected["homogeneity"])):
         result = v.homogeneity[label]
-        assert result == homogeneity_test(tables, label)
+        assert result == homogeneity_test(tables, column)
         assert math.isclose(result.chi2, chi2, rel_tol=1e-12)
         assert result.df == df == 49
         assert math.isclose(result.p_value, p, rel_tol=1e-9)

@@ -721,6 +721,17 @@ def test_analyze_table_rejects_json_nested_too_deep(tmp_path, capsys):
     assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
+def test_analyze_table_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer longer than
+    # Python's int conversion limit of 4,300 digits.
+    obj = json.dumps(crossed_tables()).replace('"counts": [[10, 50]', '"counts": [[' + "1" * 5000 + ", 50]", 1)
+    path = tmp_path / "long.json"
+    path.write_text(obj)
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
 def test_analyze_table_shows_a_p_of_one_as_one(tmp_path, capsys):
     # Group a's rate is .50 in both strata, so its constant-rate test has p = 1.
     path = tmp_path / "flat.json"
@@ -826,6 +837,11 @@ def test_negative_seed_exits_2(argv, capsys):
 def test_mc_size_n_zero_exits_2(dgp, message, capsys):
     code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", dgp, "--n", "0", "--reps", "1000"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_mc_size_threads_below_one_exits_2(capsys):
+    code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--threads", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: threads must be >= 1\n")
 
 
 def test_mc_size_json_and_thread_invariance(capsys):

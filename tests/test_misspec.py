@@ -207,10 +207,10 @@ def test_linearity_check_behavior():
     x = rng.standard_normal(n)
     curved = Dataset(columns={"y": x**2 + 0.2 * rng.standard_normal(n), "x": x}, orderings={})
     base = fit(curved, SPEC)
-    assert linearity_check(curved, base).joint_p < 1e-6
+    assert linearity_check(curved, base).p < 1e-6
 
     straight = iid_dataset(24, orderings="none")
-    assert linearity_check(straight, fit(straight, SPEC)).joint_p > 0.05
+    assert linearity_check(straight, fit(straight, SPEC)).p > 0.05
 
 
 def test_homoskedasticity_grouped_behavior():
@@ -306,16 +306,16 @@ def test_trend_lag_flags_serial_dependence():
         orderings={"t": OrderingVariable("t", "time", np.arange(1.0, n + 1.0))},
     )
     aux = auxiliary_trend_lag_test(data, fit(data, SPEC), BatteryConfig())
-    assert aux.joint_p < 1e-6
+    assert aux.p < 1e-6
 
     calm = iid_dataset(42, orderings="time")
     calm_aux = auxiliary_trend_lag_test(calm, fit(calm, SPEC), BatteryConfig())
-    assert calm_aux.joint_p > 0.05
+    assert calm_aux.p > 0.05
     # trend powers 1..2 plus 2 lags of response and regressor
-    assert len(calm_aux.added_terms) == 6
+    assert len(calm_aux.terms) == 6
 
 
-def test_auxiliary_checks_add_terms_in_design_order(monkeypatch):
+def test_auxiliary_checks_add_terms_in_design_order():
     # Each check names its added columns in the order they enter the
     # design, after the intercept and the base regressors. d is a dummy,
     # so it gets no square.
@@ -332,26 +332,17 @@ def test_auxiliary_checks_add_terms_in_design_order(monkeypatch):
         },
     )
     base = fit(data, ModelSpec(response="y", regressors=("x", "d", "z")))
-    assert linearity_check(data, base).added_terms == ("x^2", "z^2")
-    assert auxiliary_trend_lag_test(data, base, BatteryConfig()).added_terms == (
+    assert linearity_check(data, base).terms == ("x^2", "z^2")
+    assert auxiliary_trend_lag_test(data, base, BatteryConfig()).terms == (
         "t^1", "t^2", "y[-1]", "y[-2]", "x[-1]", "x[-2]", "d[-1]", "d[-2]", "z[-1]", "z[-2]",
     )
-    assert ordering_shift_test(data, base, "g").added_terms == ("shift(g=b)", "shift(g=c)")
-    assert ordering_shift_test(data, base, "h").added_terms == ("shift(h=1.0)",)
+    assert ordering_shift_test(data, base, "g").terms == ("shift(g=b)", "shift(g=c)")
+    assert ordering_shift_test(data, base, "h").terms == ("shift(h=1.0)",)
 
-    # The variance regression reports a CheckResult; its terms are read off
-    # the auxiliary result it builds.
-    seen = []
-    real = misspec._added_terms_f
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(misspec, "_added_terms_f", spy)
+    # The variance regression returns its auxiliary regression's result.
     check = homoskedasticity_check(data, base)
-    assert [aux.added_terms for aux in seen] == [("x", "x^2", "d", "z", "z^2")]
-    assert (check.stat, check.p) == (seen[0].joint_f_stat, seen[0].joint_p)
+    assert check.terms == ("x", "x^2", "d", "z", "z^2")
+    assert normality_check(base.residuals).terms == ()
 
 
 def test_trend_lag_probe_design_is_the_model_design(monkeypatch):
@@ -422,7 +413,7 @@ def test_ordering_shift_flags_intercept_jump():
         orderings={"g": OrderingVariable("g", "binary_group", g)},
     )
     aux = ordering_shift_test(data, fit(data, SPEC), "g")
-    assert aux.joint_p < 1e-6
+    assert aux.p < 1e-6
 
 
 def test_shift_f_matches_classical_added_variable_oracle():
@@ -433,7 +424,7 @@ def test_shift_f_matches_classical_added_variable_oracle():
     oracle = classical_added_variable_f(
         data.column("y"), [data.column("x")], [dummy]
     )
-    assert math.isclose(aux.joint_f_stat, oracle, rel_tol=1e-9)
+    assert math.isclose(aux.stat, oracle, rel_tol=1e-9)
 
 
 def test_linearity_f_matches_classical_added_variable_oracle():
@@ -443,7 +434,7 @@ def test_linearity_f_matches_classical_added_variable_oracle():
     oracle = classical_added_variable_f(
         data.column("y"), [data.column("x")], [data.column("x") ** 2]
     )
-    assert math.isclose(aux.joint_f_stat, oracle, rel_tol=1e-9)
+    assert math.isclose(aux.stat, oracle, rel_tol=1e-9)
 
 
 def _lstsq_rss(columns, y):
@@ -482,16 +473,16 @@ def _nested_case(design: str):
     u = base.residuals
     if design == "linearity":
         aux = linearity_check(data, base)
-        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u, [x], [x**2])
+        return (aux.stat, aux.p), _aux_f_by_two_fits(u, [x], [x**2])
     if design == "shift":
         aux = ordering_shift_test(data, base, "g")
-        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u, [x], [g])
+        return (aux.stat, aux.p), _aux_f_by_two_fits(u, [x], [g])
     if design == "trend-lag":
         aux = auxiliary_trend_lag_test(data, base, BatteryConfig())
         rows = np.arange(2, n)
         s = np.arange(1, n - 1) / (n - 2)
         added = [s, s**2, y[rows - 1], y[rows - 2], x[rows - 1], x[rows - 2]]
-        return (aux.joint_f_stat, aux.joint_p), _aux_f_by_two_fits(u[rows], [x[rows]], added)
+        return (aux.stat, aux.p), _aux_f_by_two_fits(u[rows], [x[rows]], added)
     check = homoskedasticity_check(data, base)
     return (check.stat, check.p), _aux_f_by_two_fits(u**2, [], [x, x**2])
 
@@ -568,7 +559,7 @@ def test_run_battery_evidence_names_in_order(categories, names):
 def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
     # Every check goes straight to the least-squares kernel: none builds a
     # Dataset design or fits a model, the variance ratio's group fits included.
-    originals = (regression.fit, regression.subset_fit, regression.design_matrix, core_stats.least_squares)
+    originals = (regression.fit, regression.design_matrix, core_stats.least_squares)
     watched = dict.fromkeys(originals, 0)
 
     def counting(func):
@@ -585,12 +576,10 @@ def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
                     monkeypatch.setattr(module, attr, counting(value))
 
     data = iid_dataset(66)
-    # The counters see calls made through any module's binding.
-    regression.subset_fit(data, SPEC, "g", 1.0)
-    assert all(count >= 1 for count in watched.values()), watched
-    watched.update(dict.fromkeys(originals, 0))
-
+    # The counters see calls made through any module's binding: fit reaches
+    # design_matrix and least_squares through regression's.
     base = regression.fit(data, SPEC)
+    assert all(count >= 1 for count in watched.values()), watched
     watched.update(dict.fromkeys(originals, 0))
     report = run_battery(data, base, BatteryConfig())
     assert "variance-ratio(g)" in [name for name, _ in report.evidence]

@@ -10,11 +10,11 @@ from revcheck.errors import (
     SingularRegressorCovariance,
 )
 from revcheck.parameterization import (
+    FullRegressionParams,
     JointMoments,
     check_reversal_conditions,
     corr_from_slope,
     derive_full_params,
-    derive_full_params_matrix,
     derive_simple_params,
     joint_moments_from_correlations,
 )
@@ -24,6 +24,17 @@ def random_pd_moments(rng):
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T + 0.05 * np.eye(3)
     return JointMoments(mu=rng.standard_normal(3), sigma=sigma)
+
+
+def full_params_by_solve(m: JointMoments) -> FullRegressionParams:
+    """derive_full_params by a second route, to cross-check its closed form:
+    solve Cov(X) b = Cov(X, y) for the slope pair and take the error
+    variance as Var(y) - Cov(X, y)' b."""
+    s = m.sigma
+    b = np.linalg.solve(s[1:, 1:], s[1:, 0])
+    return FullRegressionParams(
+        beta0=float(m.mu[0] - b @ m.mu[1:]), beta1=float(b[0]), beta2=float(b[1]), sigma_u2=float(s[0, 0] - s[1:, 0] @ b)
+    )
 
 
 def test_unit_variance_anchor_positive_pair():
@@ -58,7 +69,7 @@ def test_matrix_route_agrees_with_closed_form():
     for _ in range(200):
         m = random_pd_moments(rng)
         a = derive_full_params(m)
-        b = derive_full_params_matrix(m)
+        b = full_params_by_solve(m)
         for name in ("beta0", "beta1", "beta2", "sigma_u2"):
             va, vb = getattr(a, name), getattr(b, name)
             assert math.isclose(va, vb, rel_tol=1e-12, abs_tol=1e-12)
@@ -154,6 +165,18 @@ def test_joint_moments_validation():
         JointMoments(np.array([np.inf, 0, 0]), np.eye(3))
 
 
+@pytest.mark.parametrize("x1_variance", [0.0, -1e-30])
+def test_joint_moments_reads_definiteness_off_the_symmetric_part(x1_variance):
+    # The off-diagonal pair differs in sign within the symmetry tolerance;
+    # taken unsymmetrized, its product would make minor2 and det positive.
+    sigma = [[1.0, 1e-14, 0.0], [-1e-14, x1_variance, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(NonPositiveVariance):
+        JointMoments([0.0, 0.0, 0.0], sigma)
+    # A pair within tolerance of a positive definite matrix still passes.
+    near = JointMoments(np.zeros(3), [[1.0, 0.5, 0.0], [0.5 + 1e-12, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert near.sigma[1, 0] == 0.5 + 1e-12
+
+
 def test_joint_moments_from_correlations_validation():
     with pytest.raises(OutOfRangeCorrelation):
         joint_moments_from_correlations(1.2, 0.0, 0.0)
@@ -180,8 +203,8 @@ def test_singular_regressor_block():
     with pytest.raises(NonPositiveVariance):
         m_bad = JointMoments(np.zeros(3), sigma)
     assert m_bad is None
-    # A nearly-but-validly conditioned matrix still passes through the
-    # closed form; force the singular branch directly via the matrix route.
+    # JointMoments rejects a singular block first; a stand-in that skips
+    # its check reaches derive_full_params' own singular branch.
     class FakeMoments:
         mu = np.zeros(3)
         sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])

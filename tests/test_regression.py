@@ -24,7 +24,6 @@ from revcheck.regression import (
     coefficient_test,
     design_matrix,
     fit,
-    subset_fit,
 )
 
 
@@ -187,23 +186,6 @@ def test_design_matrix_shift_on_one_level_window_raises_group_too_small():
         design_matrix(one_level, ModelSpec(response="y", regressors=("x",), generic_terms=(Shift("g"),)))
 
 
-def test_subset_fit_matches_group_slice():
-    data = grouped_data()
-    res = subset_fit(data, ModelSpec(response="y", regressors=("x",)), "g", 0.0)
-    rows = np.flatnonzero(data.ordering("g").values == 0.0)
-    sliced = data.take(rows)
-    direct = fit(sliced, ModelSpec(response="y", regressors=("x",)))
-    assert np.allclose(res.coefficients, direct.coefficients, atol=1e-12)
-    assert res.row_index.tolist() == rows.tolist()
-    assert res.n_used == 4
-
-
-def test_subset_fit_group_too_small():
-    data = grouped_data()
-    with pytest.raises(GroupTooSmall):
-        subset_fit(data, ModelSpec(response="y", regressors=("x",)), "g", 7.0)
-
-
 def test_two_group_reversal_pattern():
     # Within-group slopes positive, pooled slope negative: the grouping
     # variable carries the aggregation artifact.
@@ -219,9 +201,11 @@ def test_two_group_reversal_pattern():
             "g": OrderingVariable("g", "binary_group", np.repeat([1.0, 0.0], n))
         },
     )
-    pooled = fit(data, ModelSpec(response="y", regressors=("x",)))
-    g1 = subset_fit(data, ModelSpec(response="y", regressors=("x",)), "g", 1.0)
-    g0 = subset_fit(data, ModelSpec(response="y", regressors=("x",)), "g", 0.0)
+    spec = ModelSpec(response="y", regressors=("x",))
+    pooled = fit(data, spec)
+    g = data.ordering("g").values
+    g1 = fit(data.take(np.flatnonzero(g == 1.0)), spec)
+    g0 = fit(data.take(np.flatnonzero(g == 0.0)), spec)
     assert pooled.coefficients[1] < 0
     assert g1.coefficients[1] > 0 and g0.coefficients[1] > 0
 

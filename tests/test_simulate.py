@@ -147,20 +147,6 @@ def test_mc_error_rate_rejects_noisy_settings():
         mc_error_rate(dgp, test, replications=500)
     with pytest.raises(InvalidSpec):
         mc_error_rate(dgp, test, alpha=1.5)
-    with pytest.raises(InvalidSpec):
-        mc_error_rate(dgp, test, threads=0)
-
-
-def test_mc_error_rate_thread_invariance():
-    joint = joint_moments_from_correlations(0.0, 0.4, 0.0)
-    dgp = DgpSpec(kind=NiidRegression(joint=joint, n=40), seed=101)
-    test = TestDescriptor(
-        kind="coefficient", response="y", regressors=("x1", "x2"), target="x1"
-    )
-    serial = mc_error_rate(dgp, test, replications=1000, threads=1)
-    threaded = mc_error_rate(dgp, test, replications=1000, threads=4)
-    assert serial.rejections == threaded.rejections
-    assert serial.rejection_rate == threaded.rejection_rate
 
 
 def test_coefficient_test_is_sized_under_the_null():
