@@ -18,168 +18,104 @@ Substantive adequacy (confounding, causal structure) is out of scope and
 reports say so explicitly.
 """
 
-from .bernoulli import (
-    AggregateVerdict,
-    BernoulliEstimate,
-    ContingencyTable,
-    EventProbabilityTriple,
-    EventReversalResult,
-    HomogeneityResult,
-    ProportionComparison,
-    StratifiedTables,
-    aggregate_verdict,
-    check_event_reversal,
-    estimate_theta,
-    homogeneity_test,
-    stratified_tables_from_json,
-    triple_from_tables,
-    two_proportion_test,
-)
-from .core_stats import (
-    ChiSquare,
-    FisherF,
-    LeastSquaresSolution,
-    Normal,
-    SampleMoments,
-    Series,
-    StudentT,
-    least_squares,
-    sample_moments,
-    tail_prob,
-)
-from .errors import RevcheckError
-from .misspec import (
-    BatteryConfig,
-    CorrectedCorrelation,
-    MisspecReport,
-    corrected_correlation,
-    dememorize,
-    detrend,
-    homoskedasticity_check,
-    linearity_check,
-    normality_check,
-    run_battery,
-)
-from .parameterization import (
-    FullRegressionParams,
-    JointMoments,
-    ReversalConditions,
-    SimpleRegressionParams,
-    check_reversal_conditions,
-    corr_from_slope,
-    derive_full_params,
-    derive_simple_params,
-    joint_moments_from_correlations,
-)
-from .regression import (
-    CoefficientTest,
-    Dataset,
-    FitResult,
-    Lags,
-    ModelSpec,
-    OrderingVariable,
-    Shift,
-    TrendPoly,
-    coefficient_test,
-    design_matrix,
-    fit,
-)
-from .simulate import (
-    BernoulliIid,
-    DgpSpec,
-    MonteCarloResult,
-    NiidRegression,
-    TestDescriptor,
-    TrendingPair,
-    TwoGroupRegression,
-    example3_generator,
-    generate,
-    mc_error_rate,
-    rng_for,
-)
-from .verdict import (
-    AssociationPair,
-    AssociationSide,
-    ReversalVerdict,
-    classify,
-    render,
-    verdict_from_json,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateVerdict",
-    "AssociationPair",
-    "AssociationSide",
-    "BatteryConfig",
-    "BernoulliEstimate",
-    "BernoulliIid",
-    "ChiSquare",
-    "CoefficientTest",
-    "ContingencyTable",
-    "CorrectedCorrelation",
-    "Dataset",
-    "DgpSpec",
-    "EventProbabilityTriple",
-    "EventReversalResult",
-    "FisherF",
-    "FitResult",
-    "FullRegressionParams",
-    "HomogeneityResult",
-    "JointMoments",
-    "Lags",
-    "LeastSquaresSolution",
-    "MisspecReport",
-    "ModelSpec",
-    "MonteCarloResult",
-    "NiidRegression",
-    "Normal",
-    "OrderingVariable",
-    "ProportionComparison",
-    "ReversalConditions",
-    "ReversalVerdict",
-    "RevcheckError",
-    "SampleMoments",
-    "Series",
-    "Shift",
-    "SimpleRegressionParams",
-    "StratifiedTables",
-    "StudentT",
-    "TestDescriptor",
-    "TrendPoly",
-    "TrendingPair",
-    "TwoGroupRegression",
-    "aggregate_verdict",
-    "check_event_reversal",
-    "check_reversal_conditions",
-    "classify",
-    "coefficient_test",
-    "corr_from_slope",
-    "corrected_correlation",
-    "dememorize",
-    "derive_full_params",
-    "derive_simple_params",
-    "design_matrix",
-    "detrend",
-    "estimate_theta",
-    "example3_generator",
-    "fit",
-    "generate",
-    "homogeneity_test",
-    "homoskedasticity_check",
-    "joint_moments_from_correlations",
-    "least_squares",
-    "linearity_check",
-    "mc_error_rate",
-    "normality_check",
-    "render",
-    "rng_for",
-    "run_battery",
-    "sample_moments",
-    "stratified_tables_from_json",
-    "tail_prob",
-    "triple_from_tables",
-    "two_proportion_test",
-    "verdict_from_json",
-]
+# Each public name and the submodule that defines it. A name, and a
+# submodule as an attribute, is imported on first access, so a command
+# loads only the modules it runs.
+_EXPORTS = {
+    "AggregateVerdict": "bernoulli",
+    "AssociationPair": "verdict",
+    "AssociationSide": "verdict",
+    "BatteryConfig": "misspec",
+    "BernoulliEstimate": "bernoulli",
+    "BernoulliIid": "simulate",
+    "ChiSquare": "core_stats",
+    "CoefficientTest": "regression",
+    "ContingencyTable": "bernoulli",
+    "CorrectedCorrelation": "misspec",
+    "Dataset": "regression",
+    "DgpSpec": "simulate",
+    "EventProbabilityTriple": "bernoulli",
+    "EventReversalResult": "bernoulli",
+    "FisherF": "core_stats",
+    "FitResult": "regression",
+    "FullRegressionParams": "parameterization",
+    "HomogeneityResult": "bernoulli",
+    "JointMoments": "parameterization",
+    "Lags": "regression",
+    "LeastSquaresSolution": "core_stats",
+    "MisspecReport": "misspec",
+    "ModelSpec": "regression",
+    "MonteCarloResult": "simulate",
+    "NiidRegression": "simulate",
+    "Normal": "core_stats",
+    "OrderingVariable": "regression",
+    "ProportionComparison": "bernoulli",
+    "ReversalConditions": "parameterization",
+    "ReversalVerdict": "verdict",
+    "RevcheckError": "errors",
+    "SampleMoments": "core_stats",
+    "Series": "core_stats",
+    "Shift": "regression",
+    "SimpleRegressionParams": "parameterization",
+    "StratifiedTables": "bernoulli",
+    "StudentT": "core_stats",
+    "TestDescriptor": "simulate",
+    "TrendPoly": "regression",
+    "TrendingPair": "simulate",
+    "TwoGroupRegression": "simulate",
+    "aggregate_verdict": "bernoulli",
+    "check_event_reversal": "bernoulli",
+    "check_reversal_conditions": "parameterization",
+    "classify": "verdict",
+    "coefficient_test": "regression",
+    "corr_from_slope": "parameterization",
+    "corrected_correlation": "misspec",
+    "dememorize": "misspec",
+    "derive_full_params": "parameterization",
+    "derive_simple_params": "parameterization",
+    "design_matrix": "regression",
+    "detrend": "misspec",
+    "estimate_theta": "bernoulli",
+    "example3_generator": "simulate",
+    "fit": "regression",
+    "generate": "simulate",
+    "homogeneity_test": "bernoulli",
+    "homoskedasticity_check": "misspec",
+    "joint_moments_from_correlations": "parameterization",
+    "least_squares": "core_stats",
+    "linearity_check": "misspec",
+    "mc_error_rate": "simulate",
+    "normality_check": "misspec",
+    "render": "verdict",
+    "rng_for": "simulate",
+    "run_battery": "misspec",
+    "sample_moments": "core_stats",
+    "stratified_tables_from_json": "bernoulli",
+    "tail_prob": "core_stats",
+    "triple_from_tables": "bernoulli",
+    "two_proportion_test": "bernoulli",
+    "verdict_from_json": "verdict",
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "fixtures"}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(__getattr__(_EXPORTS[name]), name)
+        globals()[name] = value
+        return value
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -20,12 +20,13 @@ import csv
 import datetime
 import functools
 import json
-import secrets
 import sys
 
 import numpy as np
 
-from . import bernoulli, misspec, simulate, verdict
+# bernoulli, simulate and secrets are imported by the functions that use
+# them, so each command loads only the modules it runs.
+from . import misspec, verdict
 from .core_stats import Series, sample_moments
 from .errors import (
     DegenerateData,
@@ -141,6 +142,8 @@ def _resolve_seed(args) -> int:
         if args.seed < 0:
             raise InvalidSpec("--seed must be a non-negative integer")
         return args.seed
+    import secrets
+
     seed = secrets.randbits(32)
     print(f"seed: {seed}", file=sys.stderr)
     return seed
@@ -170,7 +173,7 @@ def _ordering_kind(kind: str, values) -> str:
     """
     if kind:
         return kind
-    if values is not None and set(np.unique(values)) <= {0.0, 1.0}:
+    if values is not None and np.all((values == 0) | (values == 1)):
         return "binary_group"
     if values is not None and np.all(np.diff(values) > 0):
         return "time"
@@ -430,6 +433,8 @@ def cmd_analyze_regression(args) -> str:
 
 
 def cmd_analyze_table(args) -> str:
+    from . import bernoulli
+
     try:
         with open(args.json_path, encoding="utf-8-sig") as handle:
             obj = json.load(handle)
@@ -501,6 +506,8 @@ def _write_csv(data: Dataset, out: str, column_order: list) -> str:
 
 
 def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
+    from . import simulate
+
     choice = args.test
     if choice is None:
         choice = "naive-correlation" if args.dgp == "trending" else "coefficient"
@@ -519,6 +526,8 @@ def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
 
 
 def cmd_simulate(args) -> str:
+    from . import simulate
+
     seed = _resolve_seed(args)
     if args.dgp_command == "bernoulli":
         data = simulate.generate(simulate.DgpSpec(simulate.BernoulliIid(args.theta, args.n), seed))

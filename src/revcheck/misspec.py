@@ -37,6 +37,7 @@ for spurious association.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,9 @@ def assess_assumptions(checks: dict, alpha: float) -> tuple:
     """Each assumption's status and p from the p-values of its checks.
 
     checks maps each assumption label to the p-values of the checks behind
-    it; a None entry stands for evidence that could not be gathered, such as
-    a group whose battery left the assumption untested. An assumption fails
+    it; a None or NaN entry stands for evidence that could not be gathered,
+    such as a group whose battery left the assumption untested or a
+    normality check whose kurtosis transform is undefined. An assumption fails
     when its smallest p is below alpha, passes when at least one check ran
     and no evidence is missing, and is otherwise untested, with p None.
     The p of a pass or a fail is the smallest p. Returns the statuses and
@@ -145,7 +147,7 @@ def assess_assumptions(checks: dict, alpha: float) -> tuple:
     """
     statuses, p_values = {}, {}
     for label, ps in checks.items():
-        ran = [float(p) for p in ps if p is not None]
+        ran = [float(p) for p in ps if p is not None and not math.isnan(p)]
         smallest = min(ran, default=None)
         if smallest is not None and smallest < alpha:
             statuses[label], p_values[label] = FAIL, smallest
@@ -196,7 +198,8 @@ def _regressor_terms(data: Dataset, base: FitResult) -> list:
     for name in _plain_regressors(base):
         values = data.column(name)[base.row_index]
         terms.append((name, values, False))
-        if len(np.unique(values)) > 2:
+        # A third distinct value lies strictly between the extremes.
+        if np.any((values > values.min()) & (values < values.max())):
             # A square that overflows is caught as NonFiniteInput by the fit.
             with np.errstate(over="ignore"):
                 terms.append((f"{name}^2", values**2, True))

@@ -56,7 +56,7 @@ class OrderingVariable:
                 raise InvalidSpec(f"time ordering {self.name!r} must be strictly increasing")
         elif self.kind == "binary_group":
             values = values.astype(float)
-            if not set(np.unique(values)) <= {0.0, 1.0}:
+            if not np.all((values == 0) | (values == 1)):
                 raise InvalidSpec(f"binary ordering {self.name!r} must contain only 0 and 1")
         object.__setattr__(self, "values", values)
 

@@ -315,7 +315,9 @@ def test_thread_setter_is_found_when_openblas_is_loaded():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core cannot be oversubscribed")
 def test_tall_solves_keep_one_core_busy():
     # An idle OpenBLAS worker spinning beside the solve shows as process
-    # CPU time well above wall time (about 2 with two threads).
+    # CPU time well above wall time (about 2 with two threads). OpenBLAS's
+    # workers also spin for 0.1-0.15 s after numpy starts them, whatever
+    # runs, so the timing starts once a 50 ms sleep costs little CPU.
     code = textwrap.dedent(
         """
         import time
@@ -326,6 +328,11 @@ def test_tall_solves_keep_one_core_busy():
         design = np.column_stack([np.ones(5000), rng.standard_normal((5000, 7))])
         response = rng.standard_normal(5000)
         least_squares(design, response)
+        for _ in range(40):
+            cpu = time.process_time()
+            time.sleep(0.05)
+            if time.process_time() - cpu < 0.01:
+                break
         wall, cpu = time.perf_counter(), time.process_time()
         for _ in range(20):
             least_squares(design, response)

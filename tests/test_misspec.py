@@ -653,6 +653,13 @@ def group_report(status, p):
         # The homogeneity p of each group behind [2] and [3] of a table.
         (False, [0.051, 0.6], PASS, 0.051),
         (False, [0.6, 0.0499], FAIL, 0.0499),
+        # A NaN p (normality where the kurtosis transform is undefined) is
+        # evidence that could not be gathered, in either order.
+        (False, [float("nan"), 0.001], FAIL, 0.001),
+        (False, [0.001, float("nan")], FAIL, 0.001),
+        (False, [float("nan"), 0.3], UNTESTED, None),
+        (False, [0.3, float("nan")], UNTESTED, None),
+        (False, [float("nan")], UNTESTED, None),
     ],
 )
 def test_one_rule_decides_status_and_p(merged, checks, status, p):
