@@ -18,10 +18,10 @@ Auxiliary regressions regress the base fit's residuals on the original
 regressors plus the probe terms and F-test the probe block jointly; this
 is numerically identical to the classical added-variable F-test. They
 stack an intercept, the regressors and the probe columns, in that order,
-into one design. The trend, lag and level-shift probes are the model's own
-TrendPoly, Lags and Shift terms, whose columns come from regression's one
-column builder. The variance ratio refits the base design on each group's
-rows, split by the same level rule as a Shift term. Every check goes
+into one design. The trend, lag and level-shift probes are TrendPoly, Lags
+and Shift terms, whose columns come from regression's one column builder.
+The variance ratio refits the base design on each group's rows, split by
+the same level rule as a Shift term. Every check goes
 straight to the least-squares kernel, without a Dataset, a ModelSpec, a
 model fit or per-term inference: the joint F needs only the full fit's RSS
 and its Q'y, and the ratio only each group's residuals. Every check
@@ -163,12 +163,6 @@ def _require_live_fit(base: FitResult) -> None:
         raise DegenerateData("residuals are numerically zero-variance")
 
 
-def _plain_regressors(base: FitResult) -> tuple:
-    if base.spec.generic_terms:
-        raise InvalidSpec("auxiliary diagnostics support base fits without generated terms")
-    return base.spec.regressors
-
-
 def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> CheckResult:
     """F-test of the `added` (name, column) pairs in the regression of
     response on an intercept, base_columns and the added columns, in that
@@ -179,7 +173,7 @@ def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> Che
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
         raise NonFiniteInput("auxiliary regression values overflow the floating-point range")
     solves = _solve(design, response, _RAISE)
-    if _degenerate(response, solves.residuals, True, _RAISE)[0]:
+    if _degenerate(response, solves.residuals, _RAISE)[0]:
         raise DegenerateData("auxiliary regression is degenerate")
     q = len(added)
     df_den = design.shape[0] - design.shape[1]
@@ -190,13 +184,13 @@ def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> Che
     return CheckResult(float(f_stat), float(p), tuple(name for name, _ in added))
 
 
-def _regressor_terms(data: Dataset, base: FitResult) -> list:
-    """(name, column, is_square) of each regressor of the base fit over the
-    fit window, each followed by its square unless it takes at most two
-    values (a dummy's square carries no new information)."""
+def _regressor_terms(data: Dataset, regressors: tuple) -> list:
+    """(name, column, is_square) of each named regressor, each followed by
+    its square unless it takes at most two values (a dummy's square carries
+    no new information)."""
     terms = []
-    for name in _plain_regressors(base):
-        values = data.column(name)[base.row_index]
+    for name in regressors:
+        values = data.column(name)
         terms.append((name, values, False))
         # A third distinct value lies strictly between the extremes.
         if np.any((values > values.min()) & (values < values.max())):
@@ -217,17 +211,16 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
     the parameters ([5]) together.
     """
     _require_live_fit(base)
-    regressors = _plain_regressors(base)
+    regressors = base.spec.regressors
     lags = cfg.lag_count
-    usable = base.row_index >= lags
-    rows = base.row_index[usable]
+    rows = np.arange(lags, data.n)
     if rows.size == 0:
         raise Underdetermined("lag depth leaves no usable rows")
 
     terms = [TrendPoly(cfg.trend_degree - 1)] if cfg.trend_degree > 1 else []
     terms += [Lags(lags, source) for source in (base.spec.response, *regressors)]
     added = _generated_columns(data, terms, rows)
-    return _added_terms_f(base.residuals[usable], [data.column(name)[rows] for name in regressors], added)
+    return _added_terms_f(base.residuals[lags:], [data.column(name)[lags:] for name in regressors], added)
 
 
 def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
@@ -239,10 +232,8 @@ def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> CheckR
     in the group direction).
     """
     _require_live_fit(base)
-    regressors = _plain_regressors(base)
-    rows = base.row_index
-    added = _generated_columns(data, [Shift(ordering)], rows)
-    return _added_terms_f(base.residuals, [data.column(name)[rows] for name in regressors], added)
+    added = _generated_columns(data, [Shift(ordering)], np.arange(data.n))
+    return _added_terms_f(base.residuals, [data.column(name) for name in base.spec.regressors], added)
 
 
 def linearity_check(data: Dataset, base: FitResult) -> CheckResult:
@@ -252,7 +243,7 @@ def linearity_check(data: Dataset, base: FitResult) -> CheckResult:
     no new information. Raises InvalidSpec when no square adds anything.
     """
     _require_live_fit(base)
-    terms = _regressor_terms(data, base)
+    terms = _regressor_terms(data, base.spec.regressors)
     squares = [(name, column) for name, column, is_square in terms if is_square]
     if not squares:
         raise InvalidSpec("no regressor admits a meaningful squared term")
@@ -320,14 +311,12 @@ def normality_check(residuals) -> CheckResult:
 
 def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     """F of the two groups' residual variances, each group refit on its own
-    rows of the base design over the fit window; two-sided p."""
-    window = base.row_index
-    dummies = _shift_columns(data.ordering(ordering), window)
+    rows of the base design; two-sided p."""
+    dummies = _shift_columns(data.ordering(ordering), np.arange(data.n))
     if len(dummies) != 1:
         raise InvalidSpec(f"grouped variance check needs exactly two groups, found {len(dummies) + 1}")
-    columns = [data.column(name)[window] for name in _plain_regressors(base)]
-    design = np.column_stack(([np.ones(window.size)] if base.spec.include_intercept else []) + columns)
-    response = data.column(base.spec.response)[window]
+    design = np.column_stack([np.ones(data.n)] + [data.column(name) for name in base.spec.regressors])
+    response = data.column(base.spec.response)
     # The first level's rows, then the second's.
     groups = [dummies[0][1] == 0, dummies[0][1] == 1]
     dfs = [int(rows.sum()) - design.shape[1] for rows in groups]
@@ -345,7 +334,7 @@ def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> Chec
 
 
 def _squared_residual_regression(data: Dataset, base: FitResult) -> CheckResult:
-    added = [(name, column) for name, column, _ in _regressor_terms(data, base)]
+    added = [(name, column) for name, column, _ in _regressor_terms(data, base.spec.regressors)]
     if not added:
         raise InvalidSpec("no regressors available for the variance regression")
     return _added_terms_f(base.residuals**2, [], added)

@@ -2,12 +2,14 @@
 
 A Dataset carries named columns plus declared ordering variables (time
 indexes, group labels) that diagnostics later exploit. A ModelSpec names a
-response, regressors, and optional generated terms: polynomial trends in
-normalized time (TrendPoly), lags of existing columns (Lags), and
+response and its regressors; the model is the response on an intercept and
+those regressors, over every row. Fitting produces a FitResult with the
+usual inference summaries, computed through the QR solver in core_stats.
+
+The misspec battery's probe terms are declared here too: polynomial trends
+in normalized time (TrendPoly), lags of existing columns (Lags), and
 level-shift dummies built from a group ordering (Shift). One builder,
-_generated_columns, makes their columns over given rows; design_matrix and
-the misspec battery's probes both call it. Fitting produces a FitResult with the usual inference
-summaries, computed through the QR solver in core_stats.
+_generated_columns, makes their columns over given rows.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ class Dataset:
 class TrendPoly:
     """Polynomial trend terms t/n, (t/n)^2, ..., (t/n)^degree.
 
-    The time index is 1-based within the fitted window and scaled by the
-    window length, so every trend column lives in (0, 1] regardless of n.
+    The time index is 1-based within the rows the term is built over and
+    scaled by their count, so every trend column lives in (0, 1] regardless
+    of n.
     """
 
     degree: int
@@ -161,30 +164,29 @@ class Shift:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Response, regressors, and generated terms for a linear fit."""
+    """A linear fit of the response on an intercept and the regressors."""
 
     response: str
     regressors: tuple = ()
-    include_intercept: bool = True
-    generic_terms: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
-        object.__setattr__(self, "generic_terms", tuple(self.generic_terms))
         if self.response in self.regressors:
             raise InvalidSpec("response cannot also be a regressor")
         if len(set(self.regressors)) != len(self.regressors):
             raise InvalidSpec("duplicate regressor names")
+        if "intercept" in self.regressors:
+            raise InvalidSpec("regressor name 'intercept' clashes with the fit's constant term; rename the column")
 
 
 @dataclass(frozen=True)
 class DesignInfo:
-    """Assembled design matrix with bookkeeping for downstream diagnostics."""
+    """A spec's design over every row: the matrix [1, regressors...], the
+    response, and the term names ("intercept", *regressors)."""
 
     matrix: np.ndarray
     response: np.ndarray
     term_names: tuple
-    row_index: np.ndarray
 
 
 def _shift_columns(ordering: OrderingVariable, rows: np.ndarray) -> list:
@@ -200,12 +202,12 @@ def _shift_columns(ordering: OrderingVariable, rows: np.ndarray) -> list:
     values = ordering.values[rows]
     levels = sorted(set(values.tolist()))
     if len(levels) < 2:
-        raise GroupTooSmall(f"ordering {ordering.name!r} has fewer than two levels in the fit window")
+        raise GroupTooSmall(f"ordering {ordering.name!r} has fewer than two levels in the given rows")
     return [(f"shift({ordering.name}={level})", (values == level).astype(float)) for level in levels[1:]]
 
 
 def _generated_columns(data: Dataset, terms, rows: np.ndarray) -> list:
-    """(name, column) pairs of generated terms over rows, in term order.
+    """(name, column) pairs of probe terms over rows, in term order.
 
     A TrendPoly gives powers of s = 1/m, 2/m, ..., 1 over the m rows, a
     Lags term the lagged copies of its column, a Shift its level dummies.
@@ -226,27 +228,12 @@ def _generated_columns(data: Dataset, terms, rows: np.ndarray) -> list:
 
 
 def design_matrix(data: Dataset, spec: ModelSpec) -> DesignInfo:
-    """Assemble the design matrix for a spec, trimming rows lost to lags."""
-    max_lag = 0
-    for term in spec.generic_terms:
-        if isinstance(term, Lags):
-            data.column(term.of)
-            max_lag = max(max_lag, term.count)
-    rows = np.arange(max_lag, data.n)
-    if rows.size == 0:
-        raise EmptyData("lag trimming removed every row")
-
-    columns = [("intercept", np.ones(rows.size))] if spec.include_intercept else []
-    columns += [(name, data.column(name)[rows]) for name in spec.regressors]
-    columns += _generated_columns(data, spec.generic_terms, rows)
-    if not columns:
-        raise InvalidSpec("model spec produces an empty design")
-    names, matrix_columns = zip(*columns)
+    """Assemble the design matrix for a spec: an intercept, then the regressors."""
+    columns = [np.ones(data.n)] + [data.column(name) for name in spec.regressors]
     return DesignInfo(
-        matrix=np.column_stack(matrix_columns),
-        response=data.column(spec.response)[rows],
-        term_names=names,
-        row_index=rows,
+        matrix=np.column_stack(columns),
+        response=data.column(spec.response),
+        term_names=("intercept", *spec.regressors),
     )
 
 
@@ -255,10 +242,9 @@ class FitResult:
     """An ordinary least-squares fit with inference summaries.
 
     p_values are two-sided Student-t tail probabilities with n_used - p
-    degrees of freedom. r2 uses centered total variation when the model has
-    an intercept, uncentered otherwise. degenerate marks fits whose
-    residual vector is numerically zero-variance; such fits report s = 0
-    and carry no usable inference.
+    degrees of freedom. r2 uses the centered total variation. degenerate
+    marks fits whose residual vector is numerically zero-variance; such
+    fits report s = 0 and carry no usable inference.
     """
 
     spec: ModelSpec
@@ -273,7 +259,6 @@ class FitResult:
     residuals: np.ndarray
     condition_estimate: float
     degenerate: bool
-    row_index: np.ndarray
 
     def index_of(self, term_name: str) -> int:
         try:
@@ -292,7 +277,7 @@ def _coefficient_p(diff, se, df: int, errors) -> tuple:
     return stat, p
 
 
-def _degenerate(y, residuals, include_intercept: bool, errors) -> tuple:
+def _degenerate(y, residuals, errors) -> tuple:
     """(degenerate, rss, tss) of stacked fits of y leaving these residuals.
 
     A fit is degenerate when its residuals are numerically zero-variance
@@ -303,7 +288,7 @@ def _degenerate(y, residuals, include_intercept: bool, errors) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         rss = np.einsum("...i,...i->...", residuals, residuals)
         yy = np.einsum("...i,...i->...", y, y)
-        tss = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1) if include_intercept else yy
+        tss = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
         scale = np.maximum(np.maximum(tss, yy), 1.0)
         spread = residuals.var(axis=-1)
     errors.flag(
@@ -315,13 +300,13 @@ def _degenerate(y, residuals, include_intercept: bool, errors) -> tuple:
     return degenerate, rss, tss
 
 
-def _inference(y, solution, include_intercept: bool, errors) -> tuple:
+def _inference(y, solution, errors) -> tuple:
     """(degenerate, s, std_errors, t_ratios, p_values, r2) of stacked fits
     of y, one per leading index. A degenerate fit, whose residuals are
     numerically zero-variance, reports s = 0 and zero standard errors."""
     coefficients, residuals = solution.coefficients, solution.residuals
     n, p = residuals.shape[-1], coefficients.shape[-1]
-    degenerate, rss, tss = _degenerate(y, residuals, include_intercept, errors)
+    degenerate, rss, tss = _degenerate(y, residuals, errors)
     s2 = np.where(degenerate, 0.0, rss / (n - p))
     std_errors = np.sqrt(s2[..., None] * np.diagonal(solution.xtx_inverse, axis1=-2, axis2=-1))
     t_ratios, p_values = _coefficient_p(coefficients, std_errors, n - p, errors)
@@ -332,7 +317,7 @@ def _inference(y, solution, include_intercept: bool, errors) -> tuple:
 
 def _summarize(spec, info, solution) -> FitResult:
     y = info.response
-    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solution, spec.include_intercept, _RAISE)
+    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solution, _RAISE)
     return FitResult(
         spec=spec,
         term_names=info.term_names,
@@ -346,7 +331,6 @@ def _summarize(spec, info, solution) -> FitResult:
         residuals=solution.residuals,
         condition_estimate=solution.condition_estimate,
         degenerate=bool(degenerate),
-        row_index=info.row_index,
     )
 
 

@@ -482,7 +482,7 @@ def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, e
     regressors = [_column(columns, name, errors) for name in spec.regressors]
     y = _column(columns, spec.response, errors)
     solves = _solve(np.stack([np.ones_like(y), *regressors], axis=-1), y, errors)
-    std_errors = regression._inference(y, solves, spec.include_intercept, errors)[2]
+    std_errors = regression._inference(y, solves, errors)[2]
     terms = ("intercept",) + spec.regressors
     if test.target not in terms:
         errors.stop(UnknownColumn, f"no fitted term named {test.target!r}")

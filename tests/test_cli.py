@@ -765,6 +765,20 @@ def test_overflowing_sums_of_squares_exit_2(tmp_path, capsys):
     assert err == "error: sums of squares overflow the floating-point range; rescale the data\n"
 
 
+def test_regressor_named_intercept_exits_2(tmp_path, capsys):
+    # The fit names its constant term "intercept": a regressor of that name
+    # would have its slope read in place of the constant's, so it is refused.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(60)
+    y = 0.3 - 2 * x + rng.standard_normal(60)
+    rows = "".join(f"{a!r},{b!r},{t}\n" for a, b, t in zip(y.tolist(), x.tolist(), range(1, 61)))
+    path = write_csv(tmp_path / "clash.csv", "y,intercept,t\n" + rows)
+    argv = ["--seed", "1", "analyze-regression", path, "--response", "y", "--regressors", "intercept"]
+    code, out, err = run(argv + ["--ordering", "t:time"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: regressor name 'intercept' clashes with the fit's constant term; rename the column\n"
+
+
 def test_timestamp_only_stamps_text(capsys):
     fixture = str(fixture_path("lindley_novick.json"))
     code, out, _ = run(["--timestamp", "analyze-table", fixture], capsys)

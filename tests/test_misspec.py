@@ -32,7 +32,7 @@ from revcheck.misspec import (
     ordering_shift_test,
     run_battery,
 )
-from revcheck.regression import Dataset, Lags, ModelSpec, OrderingVariable, TrendPoly, design_matrix, fit
+from revcheck.regression import Dataset, ModelSpec, OrderingVariable, fit
 
 
 def classical_added_variable_f(y, base_cols, added_cols):
@@ -346,8 +346,8 @@ def test_auxiliary_checks_add_terms_in_design_order():
 
 
 def test_trend_lag_probe_design_is_the_model_design(monkeypatch):
-    # The probe's terms are TrendPoly and Lags terms: the design it solves
-    # is design_matrix's for the same terms, bit for bit.
+    # The probe solves the model's design, an intercept and x, extended by
+    # trend powers and lags over rows lags..n-1, bit for bit.
     rng = np.random.default_rng(46)
     n = 50
     x = rng.standard_normal(n)
@@ -367,18 +367,27 @@ def test_trend_lag_probe_design_is_the_model_design(monkeypatch):
     auxiliary_trend_lag_test(data, base, BatteryConfig())
     [(response, base_columns, added)] = seen
     probe = np.column_stack([np.ones(len(response)), *base_columns, *(column for _, column in added)])
-    model = design_matrix(data, ModelSpec("y", ("x",), generic_terms=(TrendPoly(2), Lags(2, "y"), Lags(2, "x"))))
-    assert model.term_names == ("intercept", "x", *(name for name, _ in added))
-    assert probe.tobytes() == model.matrix.tobytes()
+    lags = BatteryConfig().lag_count
+    rows = np.arange(lags, n)
+    m = rows.size
+    s = np.arange(1, m + 1) / m
+    y = data.column("y")
+    lagged = [v[rows - k] for v in (y, x) for k in range(1, lags + 1)]
+    expected = np.column_stack([np.ones(m), x[rows], s, s**2, *lagged])
+    assert [name for name, _ in added] == ["t^1", "t^2", "y[-1]", "y[-2]", "x[-1]", "x[-2]"]
+    assert probe.tobytes() == expected.tobytes()
+    assert response.tobytes() == base.residuals[lags:].tobytes()
 
 
 def _overflowing_square_case():
-    # The regressor is finite but its square is not. Without an intercept
-    # the base design [x] is well conditioned however large x is.
+    # The regressor is finite but its square is not. A fit with an intercept
+    # cannot take such an x (its condition is at least about 1e154 / sqrt(n)),
+    # so the fit is made on a well-scaled x and checked against x * 1e200.
     rng = np.random.default_rng(45)
-    x = rng.standard_normal(40) * 1e200
-    data = Dataset(columns={"y": rng.standard_normal(40), "x": x}, orderings={})
-    return data, fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=False))
+    x = rng.standard_normal(40)
+    y = rng.standard_normal(40)
+    base = fit(Dataset(columns={"y": y, "x": x}, orderings={}), ModelSpec(response="y", regressors=("x",)))
+    return Dataset(columns={"y": y, "x": x * 1e200}, orderings={}), base
 
 
 def test_auxiliary_regression_rejects_overflowing_columns():

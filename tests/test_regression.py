@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from revcheck import regression
 from revcheck.errors import (
     EmptyData,
     GroupTooSmall,
@@ -91,15 +92,14 @@ def test_fit_degenerate_exact_line():
     assert np.allclose(res.coefficients, [1.0, 1.0], atol=1e-10)
 
 
-@pytest.mark.parametrize("intercept", [True, False])
-def test_fit_flags_overflowing_sums_of_squares(intercept):
+def test_fit_flags_overflowing_sums_of_squares():
     # rss and tss are both inf: inf <= 1e-12 * inf holds, so without the
     # check the fit would read as exact.
     rng = np.random.default_rng(0)
     x = rng.standard_normal(60)
     data = Dataset(columns={"y": (3 * x + rng.standard_normal(60)) * 1e160, "x": x}, orderings={})
     with pytest.raises(NonFiniteInput, match="overflow"):
-        fit(data, ModelSpec(response="y", regressors=("x",), include_intercept=intercept))
+        fit(data, ModelSpec(response="y", regressors=("x",)))
 
 
 def test_fit_recovers_population_slopes():
@@ -139,8 +139,20 @@ def test_frisch_waugh_partialling_out():
     assert math.isclose(res.coefficients[1], joint.coefficients[1], rel_tol=1e-9)
 
 
-def test_design_matrix_generic_terms():
-    n = 6
+def test_design_matrix_is_an_intercept_then_the_regressors():
+    data = grouped_data()
+    info = design_matrix(data, ModelSpec(response="y", regressors=("x",)))
+    assert info.term_names == ("intercept", "x")
+    assert info.matrix.tolist() == [[1.0, x] for x in data.column("x").tolist()]
+    assert info.response.tolist() == data.column("y").tolist()
+
+
+def test_model_spec_rejects_a_regressor_named_intercept():
+    with pytest.raises(InvalidSpec, match="'intercept' clashes"):
+        ModelSpec(response="y", regressors=("x", "intercept"))
+
+
+def test_generated_columns_over_a_window():
     data = Dataset(
         columns={"y": np.arange(1.0, 7.0), "x": np.arange(0.0, 6.0)},
         orderings={
@@ -148,42 +160,30 @@ def test_design_matrix_generic_terms():
             "g": OrderingVariable("g", "binary_group", np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])),
         },
     )
-    spec = ModelSpec(
-        response="y",
-        regressors=("x",),
-        generic_terms=(TrendPoly(2), Lags(1, "y"), Shift("g")),
-    )
-    info = design_matrix(data, spec)
-    # One row trimmed for the lag; trend is (t/n)^k over the trimmed window.
-    assert info.matrix.shape[0] == n - 1
-    assert info.row_index.tolist() == [1, 2, 3, 4, 5]
-    names = info.term_names
-    assert names[0] == "intercept" and "x" in names
-    assert "t^1" in names and "t^2" in names
-    assert "y[-1]" in names
-    assert any(name.startswith("shift(g") for name in names)
-    lag_col = info.matrix[:, names.index("y[-1]")]
-    assert np.allclose(lag_col, [1.0, 2.0, 3.0, 4.0, 5.0])
-    trend1 = info.matrix[:, names.index("t^1")]
-    assert np.allclose(trend1, np.arange(1, 6) / 5.0)
+    columns = regression._generated_columns(data, (TrendPoly(2), Lags(1, "y"), Shift("g")), np.arange(1, 6))
+    names = [name for name, _ in columns]
+    assert names == ["t^1", "t^2", "y[-1]", "shift(g=1.0)"]
+    values = dict(columns)
+    # Trend powers are (t/m)^k over the m rows of the window.
+    assert np.allclose(values["t^1"], np.arange(1, 6) / 5.0)
+    assert np.allclose(values["t^2"], (np.arange(1, 6) / 5.0) ** 2)
+    assert np.allclose(values["y[-1]"], [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert values["shift(g=1.0)"].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
 
 
-def test_design_matrix_names_a_binary_shift_by_its_level():
+def test_generated_columns_name_a_binary_shift_by_its_level():
     # One dummy for every level but the first, so a binary ordering's marks
     # its 1s and is named like a categorical level.
     data = grouped_data()
-    info = design_matrix(data, ModelSpec(response="y", regressors=("x",), generic_terms=(Shift("g"),)))
-    assert info.term_names == ("intercept", "x", "shift(g=1.0)")
-    assert info.matrix[:, 2].tolist() == (data.ordering("g").values == 1.0).astype(float).tolist()
+    [(name, dummy)] = regression._generated_columns(data, (Shift("g"),), np.arange(data.n))
+    assert name == "shift(g=1.0)"
+    assert dummy.tolist() == (data.ordering("g").values == 1.0).astype(float).tolist()
 
 
-def test_design_matrix_shift_on_one_level_window_raises_group_too_small():
-    one_level = Dataset(
-        columns={"y": np.arange(1.0, 7.0), "x": np.array([0.0, 2.0, 1.0, 4.0, 3.0, 5.0])},
-        orderings={"g": OrderingVariable("g", "binary_group", np.ones(6))},
-    )
+def test_shift_columns_on_one_level_window_raise_group_too_small():
+    one_level = OrderingVariable("g", "binary_group", np.ones(6))
     with pytest.raises(GroupTooSmall):
-        design_matrix(one_level, ModelSpec(response="y", regressors=("x",), generic_terms=(Shift("g"),)))
+        regression._shift_columns(one_level, np.arange(6))
 
 
 def test_two_group_reversal_pattern():
