@@ -46,8 +46,7 @@ _EXPORTS = {
     "HomogeneityResult": "bernoulli",
     "JointMoments": "parameterization",
     "Lags": "regression",
-    "LeastSquaresSolution": "core_stats",
-    "MisspecReport": "misspec",
+    "MisspecReport": "verdict",
     "ModelSpec": "regression",
     "MonteCarloResult": "simulate",
     "NiidRegression": "simulate",
@@ -77,7 +76,6 @@ _EXPORTS = {
     "dememorize": "misspec",
     "derive_full_params": "parameterization",
     "derive_simple_params": "parameterization",
-    "design_matrix": "regression",
     "detrend": "misspec",
     "estimate_theta": "bernoulli",
     "example3_generator": "simulate",
@@ -86,7 +84,6 @@ _EXPORTS = {
     "homogeneity_test": "bernoulli",
     "homoskedasticity_check": "misspec",
     "joint_moments_from_correlations": "parameterization",
-    "least_squares": "core_stats",
     "linearity_check": "misspec",
     "mc_error_rate": "simulate",
     "normality_check": "misspec",

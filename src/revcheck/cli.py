@@ -24,9 +24,9 @@ import sys
 
 import numpy as np
 
-# bernoulli, simulate and secrets are imported by the functions that use
-# them, so each command loads only the modules it runs.
-from . import misspec, verdict
+# bernoulli, misspec, regression, simulate and secrets are imported by the
+# functions that use them, so each command loads only the modules it runs.
+from . import verdict
 from .core_stats import Series, sample_moments
 from .errors import (
     DegenerateData,
@@ -43,7 +43,6 @@ from .parameterization import (
     derive_full_params,
     joint_moments_from_correlations,
 )
-from .regression import Dataset, ModelSpec, OrderingVariable, fit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,6 +198,8 @@ def _read_dataset(path: str, ordering_specs: list) -> Dataset:
 
 def _read_numeric(path: str, ordering_specs: list) -> Dataset | None:
     """The Dataset `_read_csv` gives for a plain numeric file, else None."""
+    from .regression import Dataset, OrderingVariable
+
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
@@ -245,6 +246,8 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
     a column that does not convert can hold a blank cell, so only such
     columns are scanned for one.
     """
+    from .regression import Dataset, OrderingVariable
+
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
@@ -301,14 +304,19 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
 
 def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
     """Conditional side for a lone trending pair: the corrected correlation."""
+    from . import misspec
+    from .regression import Dataset, ModelSpec, OrderingVariable, fit
+
     x = Series(data.column(regressor), regressor)
     y = Series(data.column(response), response)
     corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
     source = "corrected correlation"
     n_eff = len(x_clean)
+    # The data's time ordering name, which Dataset keeps apart from every column.
+    time = next(name for name, ordering in data.orderings.items() if ordering.kind == "time")
     clean = Dataset(
         columns={regressor: x_clean.values, response: y_clean.values},
-        orderings={"t": OrderingVariable("t", "time", np.arange(1, n_eff + 1, dtype=float))},
+        orderings={time: OrderingVariable(time, "time", np.arange(1, n_eff + 1, dtype=float))},
     )
     clean_fit = fit(clean, ModelSpec(response=response, regressors=(regressor,)))
     report = misspec.run_battery(clean, clean_fit, cfg, source=source)
@@ -322,6 +330,9 @@ def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: 
     fit that cannot be identified or is numerically exact, and source labels
     the battery's report.
     """
+    from . import misspec
+    from .regression import ModelSpec, fit
+
     try:
         side_fit = fit(data, ModelSpec(response=response, regressors=regressors))
     except (Underdetermined, RankDeficient) as exc:
@@ -334,6 +345,8 @@ def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: 
 
 
 def cmd_analyze_regression(args) -> str:
+    from . import misspec
+
     data = _read_dataset(args.csv_path, args.ordering)
     if len(args.regressors) not in (1, 2):
         raise InvalidSpec("give one or two regressor columns")
@@ -511,6 +524,8 @@ def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
     choice = args.test
     if choice is None:
         choice = "naive-correlation" if args.dgp == "trending" else "coefficient"
+    if choice != "coefficient" and args.dgp != "trending":
+        raise InvalidSpec(f"{choice} tests need the trending DGP")
     if choice == "naive-correlation":
         return simulate.TestDescriptor(kind="naive_correlation", x="x", y="y")
     if choice == "corrected-correlation":

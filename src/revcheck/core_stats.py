@@ -7,18 +7,20 @@ instead of NaN propagation, and a documented divisor convention.
 
 Least squares, correlations and their t-tests work on stacked rows, one
 problem per row: a per-dataset call is the batch-of-one case, and a size
-study runs the same code on a block of replications. Tail probabilities
-have one elementwise implementation, `_tail`: `tail_prob` checks its
-arguments and calls it on one float, and stacked tests call it on arrays,
-with the same arithmetic bit for bit. Its two kernels, the regularized
-incomplete beta and upper incomplete gamma functions, are continued
-fractions of a fixed depth, computed with numpy and `math` alone. Against
-scipy.special their largest relative error is below 1e-12 for Student t
-(df up to 20,000), F (df up to 2,500 and 20,000), chi-square (df up to
-1,000) and the Normal, down to p = 1e-300, and below 1e-9 for t and F with
-df up to 1e7. Checks report to an error sink: `flag(mask, error, message)`
-for the rows that fail, `stop` for a check every row fails. Per-dataset
-calls pass `_RAISE`, which raises at once.
+study runs the same code on a block of replications. `_solve` is the one
+least-squares solver; `regression.fit` is its one-row call, through the
+stacked fit `regression._ols`. Tail probabilities have one elementwise
+implementation, `_tail`: `tail_prob` checks its arguments and calls it on
+one float, and stacked tests call it on arrays, with the same arithmetic
+bit for bit. Its two kernels, the regularized incomplete beta and upper
+incomplete gamma functions, are continued fractions of a fixed depth,
+computed with numpy and `math` alone. Against scipy.special their largest
+relative error is below 1e-12 for Student t (df up to 20,000), F (df up
+to 2,500 and 20,000), chi-square (df up to 1,000) and the Normal, down to
+p = 1e-300, and below 1e-9 for t and F with df up to 1e7. Checks report
+to an error sink: `flag(mask, error, message)` for the rows that fail,
+`stop` for a check every row fails. Per-dataset calls pass `_RAISE`,
+which raises at once.
 
 Every least-squares solve runs with numpy's OpenBLAS capped at one thread:
 the designs revcheck factors gain no wall time from a second BLAS thread,
@@ -198,25 +200,6 @@ def sample_moments(data) -> SampleMoments:
 
 
 @dataclass(frozen=True)
-class LeastSquaresSolution:
-    """Result of an ordinary least-squares solve.
-
-    Attributes:
-        coefficients: length-p solution vector.
-        residuals: response minus fitted values, length n.
-        rss: residual sum of squares.
-        xtx_inverse: (X'X)^{-1}, used downstream for standard errors.
-        condition_estimate: 2-norm condition number of the design.
-    """
-
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    rss: float
-    xtx_inverse: np.ndarray
-    condition_estimate: float
-
-
-@dataclass(frozen=True)
 class _Solves:
     """Stacked least-squares solutions, one per row (see `_solve`)."""
 
@@ -272,41 +255,6 @@ def _qr_solve(design: np.ndarray, response: np.ndarray, errors) -> _Solves:
     coefficients = np.linalg.solve(r, qty)
     residuals = response - (design @ coefficients)[..., 0]
     return _Solves(coefficients[..., 0], residuals, r, qty[..., 0], condition, singular, ill)
-
-
-def least_squares(design, response) -> LeastSquaresSolution:
-    """Solve min ||y - X b|| by orthogonal (QR) decomposition.
-
-    Normal equations are never formed for the solve itself; (X'X)^{-1} is
-    reconstructed from the triangular factor only for inference output.
-
-    Args:
-        design: (n, p) matrix, intercept column included by the caller.
-        response: length-n vector.
-
-    Raises:
-        Underdetermined: if n <= p.
-        RankDeficient: if the condition estimate exceeds COND_MAX.
-        MismatchedInputs: if design and response lengths disagree.
-    """
-    X = _as_finite_array(design, "design")
-    if X.ndim == 1:
-        X = X[:, None]
-    y = _as_finite_array(response, "response")
-    if y.ndim != 1:
-        raise MismatchedInputs("response must be one-dimensional")
-    if len(y) != X.shape[0]:
-        raise MismatchedInputs(f"design has {X.shape[0]} rows but response has {len(y)}")
-    solves = _solve(X, y, _RAISE)
-    with np.errstate(over="ignore"):  # an rss past the float range is inf; fits report it
-        rss = float(solves.residuals @ solves.residuals)
-    return LeastSquaresSolution(
-        coefficients=solves.coefficients,
-        residuals=solves.residuals,
-        rss=rss,
-        xtx_inverse=solves.xtx_inverse,
-        condition_estimate=float(solves.condition),
-    )
 
 
 def _correlation_test(x: np.ndarray, y: np.ndarray, df: int, errors, zero_variance: tuple) -> tuple:

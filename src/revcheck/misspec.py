@@ -37,7 +37,6 @@ for spurious association.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +53,7 @@ from .errors import (
     Underdetermined,
 )
 from .regression import Dataset, FitResult, Lags, Shift, TrendPoly, _degenerate, _generated_columns, _shift_columns
-
-PASS = "pass"
-FAIL = "fail"
-UNTESTED = "untested"
+from .verdict import MisspecReport, assess_assumptions
 
 ASSUMPTIONS = (
     "[1] normality",
@@ -107,55 +103,6 @@ class CorrectedCorrelation:
     rho: float
     p_value: float
     n_effective: int
-
-
-@dataclass(frozen=True)
-class MisspecReport:
-    """Battery outcome: one status per assumption plus the raw evidence.
-
-    assess_assumptions sets each status and p from the checks behind the
-    assumption: p_values holds the smallest p over those checks, or None
-    where untested. A report merged over groups fails an assumption that
-    fails in any group and leaves untested, with no p, one that any group
-    left untested. overall_adequate is true exactly when no assumption is
-    marked fail; untested assumptions do not count as passes and are
-    surfaced to the verdict layer separately.
-    """
-
-    per_assumption: dict
-    p_values: dict
-    evidence: tuple
-    degenerate: bool = False
-    source: str = ""
-
-    @property
-    def overall_adequate(self) -> bool:
-        return FAIL not in self.per_assumption.values()
-
-
-def assess_assumptions(checks: dict, alpha: float) -> tuple:
-    """Each assumption's status and p from the p-values of its checks.
-
-    checks maps each assumption label to the p-values of the checks behind
-    it; a None or NaN entry stands for evidence that could not be gathered,
-    such as a group whose battery left the assumption untested or a
-    normality check whose kurtosis transform is undefined. An assumption fails
-    when its smallest p is below alpha, passes when at least one check ran
-    and no evidence is missing, and is otherwise untested, with p None.
-    The p of a pass or a fail is the smallest p. Returns the statuses and
-    the p-values, each a dict keyed like checks.
-    """
-    statuses, p_values = {}, {}
-    for label, ps in checks.items():
-        ran = [float(p) for p in ps if p is not None and not math.isnan(p)]
-        smallest = min(ran, default=None)
-        if smallest is not None and smallest < alpha:
-            statuses[label], p_values[label] = FAIL, smallest
-        elif ran and len(ran) == len(ps):
-            statuses[label], p_values[label] = PASS, smallest
-        else:
-            statuses[label], p_values[label] = UNTESTED, None
-    return statuses, p_values
 
 
 def _require_live_fit(base: FitResult) -> None:

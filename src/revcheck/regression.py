@@ -3,8 +3,10 @@
 A Dataset carries named columns plus declared ordering variables (time
 indexes, group labels) that diagnostics later exploit. A ModelSpec names a
 response and its regressors; the model is the response on an intercept and
-those regressors, over every row. Fitting produces a FitResult with the
-usual inference summaries, computed through the QR solver in core_stats.
+those regressors, over every row. `_ols` fits it through core_stats' QR
+solver, one fit per leading index: `fit` is its one-row call, returning
+a FitResult, and simulate's coefficient test runs it on a block of
+replications.
 
 The misspec battery's probe terms are declared here too: polynomial trends
 in normalized time (TrendPoly), lags of existing columns (Lags), and
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_stats import _RAISE, _t_test_p, least_squares
+from .core_stats import _RAISE, _solve, _t_test_p
 from .errors import (
     EmptyData,
     GroupTooSmall,
@@ -179,16 +181,6 @@ class ModelSpec:
             raise InvalidSpec("regressor name 'intercept' clashes with the fit's constant term; rename the column")
 
 
-@dataclass(frozen=True)
-class DesignInfo:
-    """A spec's design over every row: the matrix [1, regressors...], the
-    response, and the term names ("intercept", *regressors)."""
-
-    matrix: np.ndarray
-    response: np.ndarray
-    term_names: tuple
-
-
 def _shift_columns(ordering: OrderingVariable, rows: np.ndarray) -> list:
     """(name, dummy) pairs of a level shift over rows: one dummy for every
     level but the first, in sorted order, so a binary ordering's marks its 1s.
@@ -225,16 +217,6 @@ def _generated_columns(data: Dataset, terms, rows: np.ndarray) -> list:
         else:
             raise InvalidSpec(f"unknown generic term {term!r}")
     return columns
-
-
-def design_matrix(data: Dataset, spec: ModelSpec) -> DesignInfo:
-    """Assemble the design matrix for a spec: an intercept, then the regressors."""
-    columns = [np.ones(data.n)] + [data.column(name) for name in spec.regressors]
-    return DesignInfo(
-        matrix=np.column_stack(columns),
-        response=data.column(spec.response),
-        term_names=("intercept", *spec.regressors),
-    )
 
 
 @dataclass(frozen=True)
@@ -315,29 +297,33 @@ def _inference(y, solution, errors) -> tuple:
     return degenerate, np.sqrt(s2), std_errors, t_ratios, p_values, r2
 
 
-def _summarize(spec, info, solution) -> FitResult:
-    y = info.response
-    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solution, _RAISE)
+def _ols(y, regressors: list, errors) -> tuple:
+    """Stacked fits of y on [1, regressors...], one per leading index: the
+    solves and their _inference."""
+    solves = _solve(np.stack([np.ones_like(y), *regressors], axis=-1), y, errors)
+    return solves, _inference(y, solves, errors)
+
+
+def fit(data: Dataset, spec: ModelSpec) -> FitResult:
+    """Fit the response on an intercept and the regressors by least squares
+    and summarize the estimates: the batch-of-one case of `_ols`."""
+    regressors = [data.column(name) for name in spec.regressors]
+    y = data.column(spec.response)
+    solves, (degenerate, s, std_errors, t_ratios, p_values, r2) = _ols(y, regressors, _RAISE)
     return FitResult(
         spec=spec,
-        term_names=info.term_names,
-        coefficients=solution.coefficients,
+        term_names=("intercept", *spec.regressors),
+        coefficients=solves.coefficients,
         std_errors=std_errors,
         t_ratios=t_ratios,
         p_values=p_values,
         r2=float(r2),
         s=float(s),
         n_used=len(y),
-        residuals=solution.residuals,
-        condition_estimate=solution.condition_estimate,
+        residuals=solves.residuals,
+        condition_estimate=float(solves.condition),
         degenerate=bool(degenerate),
     )
-
-
-def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """Fit the model by least squares and summarize the estimates."""
-    info = design_matrix(data, spec)
-    return _summarize(spec, info, least_squares(info.matrix, info.response))
 
 
 @dataclass(frozen=True)

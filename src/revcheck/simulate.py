@@ -11,14 +11,13 @@ one after another on the calling thread, so a study takes no thread
 count. Each row is exactly the dataset the replication's own stream
 gives: replication r is still rng_for(seed, r), but a block seeds its
 rows' streams in one vectorised pass and loads each into one reused
-generator before drawing its row. The
-correlation tests run the same stacked code as the per-dataset functions
-`naive_correlation_test` and `misspec.corrected_correlation`, which are its
-batch-of-one case. The coefficient test builds its own stacked design (an
-intercept and the regressors) and shares the kernel `_solve` and
-`regression`'s `_inference` and `_coefficient_p` with `regression.fit` and
-`coefficient_test`. So each row gets the same decision and fails with the
-same error as its dataset tested on its own.
+generator before drawing its row. Each test runs the same stacked code
+as its per-dataset functions, which are its batch-of-one case: the
+correlation tests that of `naive_correlation_test` and
+`misspec.corrected_correlation`, the coefficient test `regression._ols`
+(of which `regression.fit` is the one-row call) and the `_coefficient_p`
+of `regression.coefficient_test`. So each row gets the same decision and
+fails with the same error as its dataset tested on its own.
 
 Four generators are provided:
 
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import misspec, regression
-from .core_stats import _RAISE, _as_finite_array, _correlation_test, _solve, sample_moments
+from .core_stats import _RAISE, _as_finite_array, _correlation_test, sample_moments
 from .errors import GenerationFailed, InvalidSpec, NonFiniteInput, UnknownColumn
 from .parameterization import JointMoments
 from .regression import Dataset, ModelSpec, OrderingVariable
@@ -481,8 +480,8 @@ def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, e
     spec = ModelSpec(response=test.response, regressors=test.regressors)
     regressors = [_column(columns, name, errors) for name in spec.regressors]
     y = _column(columns, spec.response, errors)
-    solves = _solve(np.stack([np.ones_like(y), *regressors], axis=-1), y, errors)
-    std_errors = regression._inference(y, solves, errors)[2]
+    solves, inference = regression._ols(y, regressors, errors)
+    std_errors = inference[2]
     terms = ("intercept",) + spec.regressors
     if test.target not in terms:
         errors.stop(UnknownColumn, f"no fitted term named {test.target!r}")

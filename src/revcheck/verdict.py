@@ -19,18 +19,26 @@ A failed diagnostic is decisive, so a report mixing failures with untested
 assumptions classifies as Case2, not Indeterminate. Statistical adequacy is
 all this module judges; whether the conditioning variable is the right one
 substantively (confounding, causal direction) is explicitly not assessed.
+
+The adequacy report both batteries produce, MisspecReport, and the rule
+behind its statuses, assess_assumptions, are defined here, so a table is
+classified without loading any regression code.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, MismatchedInputs
-from .misspec import FAIL, UNTESTED, MisspecReport, assess_assumptions
-from .regression import FitResult
 
 SCHEMA = "reversal-report/1"
+
+# The status of each assumption in an adequacy report.
+PASS = "pass"
+FAIL = "fail"
+UNTESTED = "untested"
 
 NO_REVERSAL = "NoReversal"
 CASE1 = "Case1Trustworthy"
@@ -45,6 +53,55 @@ BERNOULLI_ASSUMPTIONS = (
 )
 
 _NOT_ASSESSED = "substantive adequacy (confounding, causal structure): not assessed"
+
+
+@dataclass(frozen=True)
+class MisspecReport:
+    """Battery outcome: one status per assumption plus the raw evidence.
+
+    assess_assumptions sets each status and p from the checks behind the
+    assumption: p_values holds the smallest p over those checks, or None
+    where untested. A report merged over groups fails an assumption that
+    fails in any group and leaves untested, with no p, one that any group
+    left untested. overall_adequate is true exactly when no assumption is
+    marked fail; untested assumptions do not count as passes and are
+    surfaced to the verdict layer separately.
+    """
+
+    per_assumption: dict
+    p_values: dict
+    evidence: tuple
+    degenerate: bool = False
+    source: str = ""
+
+    @property
+    def overall_adequate(self) -> bool:
+        return FAIL not in self.per_assumption.values()
+
+
+def assess_assumptions(checks: dict, alpha: float) -> tuple:
+    """Each assumption's status and p from the p-values of its checks.
+
+    checks maps each assumption label to the p-values of the checks behind
+    it; a None or NaN entry stands for evidence that could not be gathered,
+    such as a group whose battery left the assumption untested or a
+    normality check whose kurtosis transform is undefined. An assumption fails
+    when its smallest p is below alpha, passes when at least one check ran
+    and no evidence is missing, and is otherwise untested, with p None.
+    The p of a pass or a fail is the smallest p. Returns the statuses and
+    the p-values, each a dict keyed like checks.
+    """
+    statuses, p_values = {}, {}
+    for label, ps in checks.items():
+        ran = [float(p) for p in ps if p is not None and not math.isnan(p)]
+        smallest = min(ran, default=None)
+        if smallest is not None and smallest < alpha:
+            statuses[label], p_values[label] = FAIL, smallest
+        elif ran and len(ran) == len(ps):
+            statuses[label], p_values[label] = PASS, smallest
+        else:
+            statuses[label], p_values[label] = UNTESTED, None
+    return statuses, p_values
 
 
 @dataclass(frozen=True)
@@ -206,8 +263,9 @@ def format_p(p: float) -> str:
     return "= " + _fmt(p)
 
 
-def format_fit(result: FitResult) -> str:
-    """One-line fit summary: coefficients with standard errors in parentheses."""
+def format_fit(result) -> str:
+    """One-line summary of a regression.FitResult: coefficients with
+    standard errors in parentheses."""
     pieces = []
     for name, coefficient, se in zip(result.term_names, result.coefficients, result.std_errors):
         value = f"{_fmt(coefficient)} ({_fmt(se)})"

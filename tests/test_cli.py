@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from revcheck import bernoulli, cli, misspec
+from revcheck import bernoulli, cli, misspec, regression
 from revcheck.errors import RevcheckError
 from revcheck.fixtures import fixture_path
 
@@ -156,7 +156,8 @@ def test_analyze_regression_corrected_correlation(trending_csv, capsys):
 def test_corrected_analysis_takes_any_time_ordering_name(trending_csv, tmp_path, capsys):
     # README's Yule series names its time column `year`; the name must not
     # matter, and neither may a group ordering declared beside it.
-    lines = open(trending_csv).read().splitlines()
+    with open(trending_csv) as handle:
+        lines = handle.read().splitlines()
     renamed = write_csv(tmp_path / "year.csv", "\n".join(["year" + lines[0][1:]] + lines[1:]) + "\n")
     grouped = write_csv(
         tmp_path / "grouped.csv",
@@ -174,6 +175,30 @@ def test_corrected_analysis_takes_any_time_ordering_name(trending_csv, tmp_path,
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["conditional"] == json.loads(named_t)["conditional"]
+
+
+@pytest.mark.parametrize("role", ["--regressors", "--response"])
+def test_corrected_analysis_takes_a_column_named_t(trending_csv, tmp_path, capsys, role):
+    # The cleaned series take the data's time ordering name, so a column
+    # named `t` beside the time ordering `year` is an ordinary column.
+    with open(trending_csv) as handle:
+        body = handle.read().split("\n", 1)[1]
+    column = "x" if role == "--regressors" else "y"
+    reports = []
+    for name in (column, "t"):
+        header = ",".join(["year"] + [name if c == column else c for c in ("x", "y")])
+        path = write_csv(tmp_path / f"{name}.csv", header + "\n" + body)
+        flags = {"--response": "y", "--regressors": "x", role: name}
+        argv = ["--output", "json", "analyze-regression", path, "--ordering", "year:time"]
+        code, out, err = run(argv + [item for pair in flags.items() for item in pair], capsys)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    plain, named_t = reports
+    assert named_t["verdict"] == plain["verdict"]
+    for side in ("marginal", "conditional"):
+        assert named_t[side]["direction"] == plain[side]["direction"]
+        assert named_t[side]["p_value"] == plain[side]["p_value"]
+    assert named_t["assumptions"] == plain["assumptions"]
 
 
 def test_yule_series_corrected_analysis(yule_csv, capsys):
@@ -526,13 +551,13 @@ def test_analyze_regression_infers_ordering_kinds(tmp_path, capsys, monkeypatch)
     )
     path = write_csv(tmp_path / "kinds.csv", "t,b,c,k,x1,x2,y\n" + rows)
     seen = []
-    original = cli.fit
+    original = regression.fit
 
     def recording(data, spec):
         seen.append(data)
         return original(data, spec)
 
-    monkeypatch.setattr(cli, "fit", recording)
+    monkeypatch.setattr(regression, "fit", recording)
     flags = ["--ordering", "t", "--ordering", "b", "--ordering", "c", "--ordering", "k"]
     code, _, err = run(["analyze-regression", path, "--response", "y", "--regressors", "x1", "x2"] + flags, capsys)
     assert (code, err) == (0, "")
@@ -851,6 +876,12 @@ def test_negative_seed_exits_2(argv, capsys):
 def test_mc_size_n_zero_exits_2(dgp, message, capsys):
     code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", dgp, "--n", "0", "--reps", "1000"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("test", ["naive-correlation", "corrected-correlation"])
+def test_mc_size_correlation_test_on_niid_exits_2(test, capsys):
+    code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", "niid", "--test", test, "--reps", "1000"], capsys)
+    assert (code, out, err) == (2, "", f"error: {test} tests need the trending DGP\n")
 
 
 def test_mc_size_threads_below_one_exits_2(capsys):

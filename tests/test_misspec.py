@@ -11,16 +11,11 @@ import pytest
 from scipy import stats
 
 import revcheck
-from revcheck import core_stats, misspec, regression
+from revcheck import misspec, regression
 from revcheck.core_stats import Series, StudentT, tail_prob
 from revcheck.errors import DegenerateData, MismatchedInputs, NonFiniteInput, TooFewResiduals, Underdetermined
 from revcheck.misspec import (
-    FAIL,
-    PASS,
-    UNTESTED,
     BatteryConfig,
-    MisspecReport,
-    assess_assumptions,
     auxiliary_trend_lag_test,
     corrected_correlation,
     dememorize,
@@ -33,6 +28,7 @@ from revcheck.misspec import (
     run_battery,
 )
 from revcheck.regression import Dataset, ModelSpec, OrderingVariable, fit
+from revcheck.verdict import FAIL, PASS, UNTESTED, MisspecReport, assess_assumptions
 
 
 def classical_added_variable_f(y, base_cols, added_cols):
@@ -568,7 +564,7 @@ def test_run_battery_evidence_names_in_order(categories, names):
 def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
     # Every check goes straight to the least-squares kernel: none builds a
     # Dataset design or fits a model, the variance ratio's group fits included.
-    originals = (regression.fit, regression.design_matrix, core_stats.least_squares)
+    originals = (regression.fit, regression._ols)
     watched = dict.fromkeys(originals, 0)
 
     def counting(func):
@@ -586,7 +582,7 @@ def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
 
     data = iid_dataset(66)
     # The counters see calls made through any module's binding: fit reaches
-    # design_matrix and least_squares through regression's.
+    # _ols through regression's.
     base = regression.fit(data, SPEC)
     assert all(count >= 1 for count in watched.values()), watched
     watched.update(dict.fromkeys(originals, 0))

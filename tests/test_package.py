@@ -95,9 +95,14 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     assert "revcheck.misspec" in regression
     assert not {"revcheck.bernoulli", "revcheck.simulate", "numpy.ma", "secrets"} & regression
 
+    # The table commands classify without the regression battery.
+    battery = {"revcheck.misspec", "revcheck.regression"}
     table = _loaded(["analyze-table", str(fixture_path("berkeley.json"))])
     assert "revcheck.bernoulli" in table
-    assert "revcheck.simulate" not in table
+    assert not ({"revcheck.simulate"} | battery) & table
+    conditions = _loaded(["reverse-conditions", "0.5", "0.7", "0.8"])
+    assert "revcheck.verdict" in conditions
+    assert not ({"revcheck.bernoulli", "revcheck.simulate"} | battery) & conditions
 
     study = _loaded(["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--reps", "1000"])
     assert "revcheck.simulate" in study

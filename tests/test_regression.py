@@ -23,7 +23,6 @@ from revcheck.regression import (
     Shift,
     TrendPoly,
     coefficient_test,
-    design_matrix,
     fit,
 )
 
@@ -141,10 +140,12 @@ def test_frisch_waugh_partialling_out():
 
 def test_design_matrix_is_an_intercept_then_the_regressors():
     data = grouped_data()
-    info = design_matrix(data, ModelSpec(response="y", regressors=("x",)))
-    assert info.term_names == ("intercept", "x")
-    assert info.matrix.tolist() == [[1.0, x] for x in data.column("x").tolist()]
-    assert info.response.tolist() == data.column("y").tolist()
+    result = fit(data, ModelSpec(response="y", regressors=("x",)))
+    assert result.term_names == ("intercept", "x")
+    design = np.column_stack([np.ones(data.n), data.column("x")])
+    coefficients = np.linalg.lstsq(design, data.column("y"), rcond=None)[0]
+    assert np.allclose(result.coefficients, coefficients, rtol=1e-12)
+    assert np.allclose(result.residuals, data.column("y") - design @ coefficients, atol=1e-12)
 
 
 def test_model_spec_rejects_a_regressor_named_intercept():

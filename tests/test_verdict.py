@@ -6,16 +6,20 @@ import pytest
 from revcheck.bernoulli import aggregate_verdict, stratified_tables_from_json
 from revcheck.errors import InvalidSpec, MismatchedInputs
 from revcheck.fixtures import load_json
-from revcheck.misspec import ASSUMPTIONS, FAIL, PASS, UNTESTED, MisspecReport
+from revcheck.misspec import ASSUMPTIONS
 from revcheck.regression import Dataset, ModelSpec, fit
 from revcheck.verdict import (
     BERNOULLI_ASSUMPTIONS,
     CASE1,
     CASE2,
+    FAIL,
     INDETERMINATE,
     NO_REVERSAL,
+    PASS,
+    UNTESTED,
     AssociationPair,
     AssociationSide,
+    MisspecReport,
     ReversalVerdict,
     adequacy_from_homogeneity,
     classify,
