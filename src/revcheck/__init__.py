@@ -45,7 +45,6 @@ _EXPORTS = {
     "FullRegressionParams": "parameterization",
     "HomogeneityResult": "bernoulli",
     "JointMoments": "parameterization",
-    "Lags": "regression",
     "MisspecReport": "verdict",
     "ModelSpec": "regression",
     "MonteCarloResult": "simulate",
@@ -58,12 +57,10 @@ _EXPORTS = {
     "RevcheckError": "errors",
     "SampleMoments": "core_stats",
     "Series": "core_stats",
-    "Shift": "regression",
     "SimpleRegressionParams": "parameterization",
     "StratifiedTables": "bernoulli",
     "StudentT": "core_stats",
     "TestDescriptor": "simulate",
-    "TrendPoly": "regression",
     "TrendingPair": "simulate",
     "TwoGroupRegression": "simulate",
     "aggregate_verdict": "bernoulli",

@@ -21,13 +21,14 @@ import datetime
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# bernoulli, misspec, regression, simulate and secrets are imported by the
-# functions that use them, so each command loads only the modules it runs.
+# bernoulli, core_stats, misspec, parameterization, regression, simulate and
+# secrets are imported by the functions that use them, so each command loads
+# only the modules it runs. The annotations name them through this block.
 from . import verdict
-from .core_stats import Series, sample_moments
 from .errors import (
     DegenerateData,
     DegeneratePool,
@@ -37,12 +38,10 @@ from .errors import (
     Underdetermined,
     UnknownColumn,
 )
-from .parameterization import (
-    check_reversal_conditions,
-    corr_from_slope,
-    derive_full_params,
-    joint_moments_from_correlations,
-)
+
+if TYPE_CHECKING:
+    from . import misspec, simulate
+    from .regression import Dataset
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,6 +304,7 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
 def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
     """Conditional side for a lone trending pair: the corrected correlation."""
     from . import misspec
+    from .core_stats import Series
     from .regression import Dataset, ModelSpec, OrderingVariable, fit
 
     x = Series(data.column(regressor), regressor)
@@ -346,6 +346,8 @@ def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: 
 
 def cmd_analyze_regression(args) -> str:
     from . import misspec
+    from .core_stats import sample_moments
+    from .parameterization import corr_from_slope
 
     data = _read_dataset(args.csv_path, args.ordering)
     if len(args.regressors) not in (1, 2):
@@ -520,6 +522,7 @@ def _write_csv(data: Dataset, out: str, column_order: list) -> str:
 
 def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
     from . import simulate
+    from .parameterization import derive_full_params
 
     choice = args.test
     if choice is None:
@@ -542,6 +545,7 @@ def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
 
 def cmd_simulate(args) -> str:
     from . import simulate
+    from .parameterization import joint_moments_from_correlations
 
     seed = _resolve_seed(args)
     if args.dgp_command == "bernoulli":
@@ -594,6 +598,8 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_reverse_conditions(args) -> str:
+    from .parameterization import check_reversal_conditions, derive_full_params, joint_moments_from_correlations
+
     conditions = check_reversal_conditions(args.rho12, args.rho13, args.rho23)
     params = None
     if conditions.det_positive and max(abs(args.rho12), abs(args.rho13), abs(args.rho23)) < 1.0:

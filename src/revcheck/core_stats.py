@@ -8,11 +8,11 @@ instead of NaN propagation, and a documented divisor convention.
 Least squares, correlations and their t-tests work on stacked rows, one
 problem per row: a per-dataset call is the batch-of-one case, and a size
 study runs the same code on a block of replications. `_solve` is the one
-least-squares solver; `regression.fit` is its one-row call, through the
-stacked fit `regression._ols`. Tail probabilities have one elementwise
-implementation, `_tail`: `tail_prob` checks its arguments and calls it on
-one float, and stacked tests call it on arrays, with the same arithmetic
-bit for bit. Its two kernels, the regularized incomplete beta and upper
+least-squares solver, and `regression._ols`, which builds every design
+(model fits, auxiliary regressions, detrend, dememorize), its one caller.
+Tail probabilities have one elementwise implementation, `_tail`:
+`tail_prob` checks its arguments and calls it on one float, and stacked
+tests call it on arrays, with the same arithmetic bit for bit. Its two kernels, the regularized incomplete beta and upper
 incomplete gamma functions, are continued fractions of a fixed depth,
 computed with numpy and `math` alone. Against scipy.special their largest
 relative error is below 1e-12 for Student t (df up to 20,000), F (df up

@@ -18,13 +18,15 @@ Auxiliary regressions regress the base fit's residuals on the original
 regressors plus the probe terms and F-test the probe block jointly; this
 is numerically identical to the classical added-variable F-test. They
 stack an intercept, the regressors and the probe columns, in that order,
-into one design. The trend, lag and level-shift probes are TrendPoly, Lags
-and Shift terms, whose columns come from regression's one column builder.
-The variance ratio refits the base design on each group's rows, split by
-the same level rule as a Shift term. Every check goes
-straight to the least-squares kernel, without a Dataset, a ModelSpec, a
-model fit or per-term inference: the joint F needs only the full fit's RSS
-and its Q'y, and the ratio only each group's residuals. Every check
+into one design. Three column helpers give the probes their columns:
+`_trend_columns` (powers of normalized time), `_lag_columns` (lagged
+copies of a series) and `_shift_columns` (level dummies of a group
+ordering); detrend and dememorize build their designs from the same
+trend and lag helpers. The variance ratio refits the base design on each
+group's rows, split by the same level rule as the shift dummies. Every
+check goes straight to `regression._ols`, without a Dataset, a ModelSpec,
+a model fit or per-term inference: the joint F needs only the full fit's
+RSS and its Q'y, and the ratio only each group's residuals. Every check
 returns one CheckResult. `run_battery` runs one declared list of checks,
 each feeding the assumptions it probes. Each assumption ends up marked
 pass, fail, or untested; a check that cannot run is never reported as a
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import _RAISE, ChiSquare, FisherF, Series, _correlation_test, _solve, _tail, tail_prob
+from .core_stats import _RAISE, ChiSquare, FisherF, Series, _correlation_test, _tail, tail_prob
 from .errors import (
     DegenerateData,
     GroupTooSmall,
@@ -52,7 +54,7 @@ from .errors import (
     TooFewResiduals,
     Underdetermined,
 )
-from .regression import Dataset, FitResult, Lags, Shift, TrendPoly, _degenerate, _generated_columns, _shift_columns
+from .regression import Dataset, FitResult, OrderingVariable, _degenerate, _ols
 from .verdict import MisspecReport, assess_assumptions
 
 ASSUMPTIONS = (
@@ -110,20 +112,45 @@ def _require_live_fit(base: FitResult) -> None:
         raise DegenerateData("residuals are numerically zero-variance")
 
 
+def _trend_columns(m: int, degree: int) -> list:
+    """Powers s, s^2, ..., s^degree of normalized time s = 1/m, 2/m, ..., 1."""
+    s = np.arange(1, m + 1) / m
+    return [s**k for k in range(1, degree + 1)]
+
+
+def _lag_columns(values: np.ndarray, lags: int) -> list:
+    """Lags 1..lags of each row of values, over its last n - lags entries."""
+    n = values.shape[-1]
+    return [values[..., lags - k : n - k] for k in range(1, lags + 1)]
+
+
+def _shift_columns(ordering: OrderingVariable) -> list:
+    """(name, dummy) pairs of a level shift: one dummy for every level but
+    the first, in sorted order, so a binary ordering's marks its 1s.
+
+    Raises:
+        InvalidSpec: for a time ordering.
+        GroupTooSmall: if the ordering holds fewer than two levels.
+    """
+    if ordering.kind == "time":
+        raise InvalidSpec(f"shift terms need a group ordering, not time ordering {ordering.name!r}")
+    levels = sorted(set(ordering.values.tolist()))
+    if len(levels) < 2:
+        raise GroupTooSmall(f"ordering {ordering.name!r} has fewer than two levels")
+    return [(f"shift({ordering.name}={level})", (ordering.values == level).astype(float)) for level in levels[1:]]
+
+
 def _added_terms_f(response: np.ndarray, base_columns: list, added: list) -> CheckResult:
     """F-test of the `added` (name, column) pairs in the regression of
     response on an intercept, base_columns and the added columns, in that
     order. The fit without the last q columns has this fit's RSS plus the
     squared norm of the last q entries of Q'y, and it cannot fail where this
     one ran: dropping columns cannot raise the condition number."""
-    design = np.column_stack([np.ones(len(response)), *base_columns, *(column for _, column in added)])
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
-        raise NonFiniteInput("auxiliary regression values overflow the floating-point range")
-    solves = _solve(design, response, _RAISE)
+    solves = _ols(response, [*base_columns, *(column for _, column in added)], _RAISE)
     if _degenerate(response, solves.residuals, _RAISE)[0]:
         raise DegenerateData("auxiliary regression is degenerate")
     q = len(added)
-    df_den = design.shape[0] - design.shape[1]
+    df_den = len(response) - len(solves.coefficients)
     rss = float(solves.residuals @ solves.residuals)
     qty_added = solves.qty[-q:]
     f_stat = (float(qty_added @ qty_added) / q) / (rss / df_den)
@@ -141,9 +168,12 @@ def _regressor_terms(data: Dataset, regressors: tuple) -> list:
         terms.append((name, values, False))
         # A third distinct value lies strictly between the extremes.
         if np.any((values > values.min()) & (values < values.max())):
-            # A square that overflows is caught as NonFiniteInput by the fit.
+            # The square is the one probe column that can overflow.
             with np.errstate(over="ignore"):
-                terms.append((f"{name}^2", values**2, True))
+                square = values**2
+            if not np.all(np.isfinite(square)):
+                raise NonFiniteInput("auxiliary regression values overflow the floating-point range")
+            terms.append((f"{name}^2", square, True))
     return terms
 
 
@@ -152,34 +182,33 @@ def auxiliary_trend_lag_test(data: Dataset, base: FitResult, cfg: BatteryConfig 
 
     Regresses the residuals on the original regressors plus normalized time
     powers t, t^2, ..., t^(trend_degree - 1) and lags 1..lag_count of the
-    response and of every regressor (the terms TrendPoly and Lags), then
-    F-tests the added block jointly.
+    response and of every regressor, then F-tests the added block jointly.
     A significant joint F indicts independence ([4]) and time invariance of
     the parameters ([5]) together.
     """
     _require_live_fit(base)
     regressors = base.spec.regressors
     lags = cfg.lag_count
-    rows = np.arange(lags, data.n)
-    if rows.size == 0:
+    if data.n <= lags:
         raise Underdetermined("lag depth leaves no usable rows")
 
-    terms = [TrendPoly(cfg.trend_degree - 1)] if cfg.trend_degree > 1 else []
-    terms += [Lags(lags, source) for source in (base.spec.response, *regressors)]
-    added = _generated_columns(data, terms, rows)
+    trend = _trend_columns(data.n - lags, cfg.trend_degree - 1)
+    added = [(f"t^{power}", column) for power, column in enumerate(trend, 1)]
+    for source in (base.spec.response, *regressors):
+        added += [(f"{source}[-{k}]", column) for k, column in enumerate(_lag_columns(data.column(source), lags), 1)]
     return _added_terms_f(base.residuals[lags:], [data.column(name)[lags:] for name in regressors], added)
 
 
 def ordering_shift_test(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     """Probe for level shifts of the residual mean across ordering groups.
 
-    Regresses the residuals on the original regressors plus the group
-    dummies of the term Shift(ordering); the joint F of the dummy block
-    tests whether the fit's parameters hold across groups (assumption [5]
-    in the group direction).
+    Regresses the residuals on the original regressors plus the ordering's
+    level dummies, one for every level but the first; the joint F of the
+    dummy block tests whether the fit's parameters hold across groups
+    (assumption [5] in the group direction).
     """
     _require_live_fit(base)
-    added = _generated_columns(data, [Shift(ordering)], np.arange(data.n))
+    added = _shift_columns(data.ordering(ordering))
     return _added_terms_f(base.residuals, [data.column(name) for name in base.spec.regressors], added)
 
 
@@ -259,20 +288,21 @@ def normality_check(residuals) -> CheckResult:
 def _group_variance_ratio(data: Dataset, base: FitResult, ordering: str) -> CheckResult:
     """F of the two groups' residual variances, each group refit on its own
     rows of the base design; two-sided p."""
-    dummies = _shift_columns(data.ordering(ordering), np.arange(data.n))
+    dummies = _shift_columns(data.ordering(ordering))
     if len(dummies) != 1:
         raise InvalidSpec(f"grouped variance check needs exactly two groups, found {len(dummies) + 1}")
-    design = np.column_stack([np.ones(data.n)] + [data.column(name) for name in base.spec.regressors])
+    regressors = [data.column(name) for name in base.spec.regressors]
     response = data.column(base.spec.response)
+    p = 1 + len(regressors)
     # The first level's rows, then the second's.
     groups = [dummies[0][1] == 0, dummies[0][1] == 1]
-    dfs = [int(rows.sum()) - design.shape[1] for rows in groups]
+    dfs = [int(rows.sum()) - p for rows in groups]
     if min(dfs) < 1:
-        raise GroupTooSmall(f"a group of ordering {ordering!r} has too few rows for {design.shape[1]} parameters")
+        raise GroupTooSmall(f"a group of ordering {ordering!r} has too few rows for {p} parameters")
     variances = []
     for rows, df in zip(groups, dfs):
         # A group's RSS is at most the base fit's, whose sums are finite.
-        residuals = _solve(design[rows], response[rows], _RAISE).residuals
+        residuals = _ols(response[rows], [column[rows] for column in regressors], _RAISE).residuals
         variances.append(float(residuals @ residuals) / df)
     if min(variances) <= 0:
         raise DegenerateData("a group has zero residual variance")
@@ -314,9 +344,7 @@ def _detrend_rows(values: np.ndarray, degree: int, errors) -> np.ndarray:
     n = values.shape[-1]
     if n <= degree + 1:
         errors.stop(Underdetermined, f"detrend of degree {degree} needs more than {degree + 1} points")
-    s = np.arange(1, n + 1) / n
-    design = np.column_stack([np.ones(n)] + [s**k for k in range(1, degree + 1)])
-    return _solve(design, values, errors).residuals
+    return _ols(values, _trend_columns(n, degree), errors).residuals
 
 
 def detrend(series: Series, degree: int = 3) -> Series:
@@ -336,9 +364,7 @@ def _dememorize_rows(values: np.ndarray, lags: int, errors) -> np.ndarray:
     if n <= lags + 2:
         errors.stop(Underdetermined, f"dememorize with {lags} lags needs more than {lags + 2} points")
     errors.flag(_flat(values), Underdetermined, "series has zero variance")
-    lagged = [values[..., lags - k : n - k] for k in range(1, lags + 1)]
-    design = np.stack([np.ones_like(lagged[0]), *lagged], axis=-1)
-    return _solve(design, values[..., lags:], errors).residuals
+    return _ols(values[..., lags:], _lag_columns(values, lags), errors).residuals
 
 
 def dememorize(series: Series, lags: int = 2) -> Series:

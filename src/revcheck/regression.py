@@ -3,15 +3,14 @@
 A Dataset carries named columns plus declared ordering variables (time
 indexes, group labels) that diagnostics later exploit. A ModelSpec names a
 response and its regressors; the model is the response on an intercept and
-those regressors, over every row. `_ols` fits it through core_stats' QR
-solver, one fit per leading index: `fit` is its one-row call, returning
-a FitResult, and simulate's coefficient test runs it on a block of
-replications.
+those regressors, over every row.
 
-The misspec battery's probe terms are declared here too: polynomial trends
-in normalized time (TrendPoly), lags of existing columns (Lags), and
-level-shift dummies built from a group ordering (Shift). One builder,
-_generated_columns, makes their columns over given rows.
+`_ols` is the one place a least-squares design is built: it stacks an
+intercept before the given columns and solves through core_stats' QR
+solver, one fit per leading index. `fit` is its one-row call, returning a
+FitResult; simulate's coefficient test runs it on a block of
+replications, and the misspec battery's auxiliary regressions, variance
+ratio, detrend and dememorize run it on their own columns.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .core_stats import _RAISE, _solve, _t_test_p
 from .errors import (
     EmptyData,
-    GroupTooSmall,
     IndexOutOfRange,
     InvalidSpec,
     MismatchedInputs,
@@ -130,41 +128,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class TrendPoly:
-    """Polynomial trend terms t/n, (t/n)^2, ..., (t/n)^degree.
-
-    The time index is 1-based within the rows the term is built over and
-    scaled by their count, so every trend column lives in (0, 1] regardless
-    of n.
-    """
-
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidSpec("trend degree must be >= 1")
-
-
-@dataclass(frozen=True)
-class Lags:
-    """Lagged copies col[t-1], ..., col[t-count] of an existing column."""
-
-    count: int
-    of: str
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise InvalidSpec("lag count must be >= 1")
-
-
-@dataclass(frozen=True)
-class Shift:
-    """Level-shift dummies built from a group ordering."""
-
-    ordering: str
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """A linear fit of the response on an intercept and the regressors."""
 
@@ -179,44 +142,6 @@ class ModelSpec:
             raise InvalidSpec("duplicate regressor names")
         if "intercept" in self.regressors:
             raise InvalidSpec("regressor name 'intercept' clashes with the fit's constant term; rename the column")
-
-
-def _shift_columns(ordering: OrderingVariable, rows: np.ndarray) -> list:
-    """(name, dummy) pairs of a level shift over rows: one dummy for every
-    level but the first, in sorted order, so a binary ordering's marks its 1s.
-
-    Raises:
-        InvalidSpec: for a time ordering.
-        GroupTooSmall: if the rows hold fewer than two levels.
-    """
-    if ordering.kind == "time":
-        raise InvalidSpec(f"shift terms need a group ordering, not time ordering {ordering.name!r}")
-    values = ordering.values[rows]
-    levels = sorted(set(values.tolist()))
-    if len(levels) < 2:
-        raise GroupTooSmall(f"ordering {ordering.name!r} has fewer than two levels in the given rows")
-    return [(f"shift({ordering.name}={level})", (values == level).astype(float)) for level in levels[1:]]
-
-
-def _generated_columns(data: Dataset, terms, rows: np.ndarray) -> list:
-    """(name, column) pairs of probe terms over rows, in term order.
-
-    A TrendPoly gives powers of s = 1/m, 2/m, ..., 1 over the m rows, a
-    Lags term the lagged copies of its column, a Shift its level dummies.
-    """
-    columns = []
-    for term in terms:
-        if isinstance(term, TrendPoly):
-            s = np.arange(1, rows.size + 1) / rows.size
-            columns += [(f"t^{power}", s**power) for power in range(1, term.degree + 1)]
-        elif isinstance(term, Lags):
-            base = data.column(term.of)
-            columns += [(f"{term.of}[-{k}]", base[rows - k]) for k in range(1, term.count + 1)]
-        elif isinstance(term, Shift):
-            columns += _shift_columns(data.ordering(term.ordering), rows)
-        else:
-            raise InvalidSpec(f"unknown generic term {term!r}")
-    return columns
 
 
 @dataclass(frozen=True)
@@ -297,11 +222,12 @@ def _inference(y, solution, errors) -> tuple:
     return degenerate, np.sqrt(s2), std_errors, t_ratios, p_values, r2
 
 
-def _ols(y, regressors: list, errors) -> tuple:
-    """Stacked fits of y on [1, regressors...], one per leading index: the
-    solves and their _inference."""
-    solves = _solve(np.stack([np.ones_like(y), *regressors], axis=-1), y, errors)
-    return solves, _inference(y, solves, errors)
+def _ols(y, columns: list, errors):
+    """Stacked least-squares solves of y on [1, columns...], one per leading
+    index. The intercept takes the first column's shape, so columns without
+    y's leading axes form one design that every row shares."""
+    ones = np.ones_like(columns[0] if columns else y)
+    return _solve(np.stack([ones, *columns], axis=-1), y, errors)
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
@@ -309,7 +235,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     and summarize the estimates: the batch-of-one case of `_ols`."""
     regressors = [data.column(name) for name in spec.regressors]
     y = data.column(spec.response)
-    solves, (degenerate, s, std_errors, t_ratios, p_values, r2) = _ols(y, regressors, _RAISE)
+    solves = _ols(y, regressors, _RAISE)
+    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solves, _RAISE)
     return FitResult(
         spec=spec,
         term_names=("intercept", *spec.regressors),

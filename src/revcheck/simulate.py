@@ -15,9 +15,10 @@ generator before drawing its row. Each test runs the same stacked code
 as its per-dataset functions, which are its batch-of-one case: the
 correlation tests that of `naive_correlation_test` and
 `misspec.corrected_correlation`, the coefficient test `regression._ols`
-(of which `regression.fit` is the one-row call) and the `_coefficient_p`
-of `regression.coefficient_test`. So each row gets the same decision and
-fails with the same error as its dataset tested on its own.
+and `_inference` (of which `regression.fit` is the one-row call) and the
+`_coefficient_p` of `regression.coefficient_test`. So each row gets the
+same decision and fails with the same error as its dataset tested on its
+own.
 
 Four generators are provided:
 
@@ -480,8 +481,8 @@ def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, e
     spec = ModelSpec(response=test.response, regressors=test.regressors)
     regressors = [_column(columns, name, errors) for name in spec.regressors]
     y = _column(columns, spec.response, errors)
-    solves, inference = regression._ols(y, regressors, errors)
-    std_errors = inference[2]
+    solves = regression._ols(y, regressors, errors)
+    std_errors = regression._inference(y, solves, errors)[2]
     terms = ("intercept",) + spec.regressors
     if test.target not in terms:
         errors.stop(UnknownColumn, f"no fitted term named {test.target!r}")

@@ -13,7 +13,14 @@ from scipy import stats
 import revcheck
 from revcheck import misspec, regression
 from revcheck.core_stats import Series, StudentT, tail_prob
-from revcheck.errors import DegenerateData, MismatchedInputs, NonFiniteInput, TooFewResiduals, Underdetermined
+from revcheck.errors import (
+    DegenerateData,
+    GroupTooSmall,
+    MismatchedInputs,
+    NonFiniteInput,
+    TooFewResiduals,
+    Underdetermined,
+)
 from revcheck.misspec import (
     BatteryConfig,
     auxiliary_trend_lag_test,
@@ -341,6 +348,36 @@ def test_auxiliary_checks_add_terms_in_design_order():
     assert normality_check(base.residuals).terms == ()
 
 
+def test_probe_columns_over_a_window():
+    y = np.arange(1.0, 7.0)
+    # Trend powers are (t/m)^k over the m rows of the window.
+    t1, t2 = misspec._trend_columns(5, 2)
+    assert np.allclose(t1, np.arange(1, 6) / 5.0)
+    assert np.allclose(t2, (np.arange(1, 6) / 5.0) ** 2)
+    # y[-1] over the rows after the first.
+    [lag] = misspec._lag_columns(y, 1)
+    assert np.allclose(lag, [1.0, 2.0, 3.0, 4.0, 5.0])
+    g = OrderingVariable("g", "binary_group", np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0]))
+    [(name, dummy)] = misspec._shift_columns(g)
+    assert name == "shift(g=1.0)"
+    assert dummy.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]
+
+
+def test_shift_columns_name_a_binary_shift_by_its_level():
+    # One dummy for every level but the first, so a binary ordering's marks
+    # its 1s and is named like a categorical level.
+    g = OrderingVariable("g", "binary_group", np.repeat([1.0, 0.0], 4))
+    [(name, dummy)] = misspec._shift_columns(g)
+    assert name == "shift(g=1.0)"
+    assert dummy.tolist() == (g.values == 1.0).astype(float).tolist()
+
+
+def test_shift_columns_on_one_level_ordering_raise_group_too_small():
+    one_level = OrderingVariable("g", "binary_group", np.ones(6))
+    with pytest.raises(GroupTooSmall):
+        misspec._shift_columns(one_level)
+
+
 def test_trend_lag_probe_design_is_the_model_design(monkeypatch):
     # The probe solves the model's design, an intercept and x, extended by
     # trend powers and lags over rows lags..n-1, bit for bit.
@@ -562,9 +599,9 @@ def test_run_battery_evidence_names_in_order(categories, names):
 
 
 def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
-    # Every check goes straight to the least-squares kernel: none builds a
-    # Dataset design or fits a model, the variance ratio's group fits included.
-    originals = (regression.fit, regression._ols)
+    # Every check goes straight to the design builder _ols: none fits a
+    # model or summarizes its terms, the variance ratio's group fits included.
+    originals = (regression.fit, regression._inference)
     watched = dict.fromkeys(originals, 0)
 
     def counting(func):
@@ -582,7 +619,7 @@ def test_battery_on_by_group_data_makes_no_model_fits(monkeypatch):
 
     data = iid_dataset(66)
     # The counters see calls made through any module's binding: fit reaches
-    # _ols through regression's.
+    # _inference through regression's.
     base = regression.fit(data, SPEC)
     assert all(count >= 1 for count in watched.values()), watched
     watched.update(dict.fromkeys(originals, 0))

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import os
 import subprocess
@@ -99,11 +101,52 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     battery = {"revcheck.misspec", "revcheck.regression"}
     table = _loaded(["analyze-table", str(fixture_path("berkeley.json"))])
     assert "revcheck.bernoulli" in table
-    assert not ({"revcheck.simulate"} | battery) & table
+    assert not ({"revcheck.simulate", "revcheck.parameterization"} | battery) & table
+    # The three-correlation conditions need no least squares, tail
+    # probabilities or sample moments.
     conditions = _loaded(["reverse-conditions", "0.5", "0.7", "0.8"])
-    assert "revcheck.verdict" in conditions
-    assert not ({"revcheck.bernoulli", "revcheck.simulate"} | battery) & conditions
+    assert {"revcheck.verdict", "revcheck.parameterization"} <= conditions
+    assert not ({"revcheck.bernoulli", "revcheck.simulate", "revcheck.core_stats"} | battery) & conditions
 
     study = _loaded(["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--reps", "1000"])
     assert "revcheck.simulate" in study
     assert "revcheck.bernoulli" not in study
+
+
+def _module_level_names(body: list) -> set:
+    """Names that statements bind in the namespace they run in."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_cli_annotations_name_only_module_level_names():
+    # cli imports most modules inside the functions that use them; each name
+    # its annotations use is bound at module level, in its TYPE_CHECKING
+    # block if nowhere else, so static tools can resolve it.
+    with open(cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    bound = _module_level_names(tree.body) | set(dir(builtins))
+    for node in tree.body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            bound |= _module_level_names(node.body)
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            arguments += [arg for arg in (node.args.vararg, node.args.kwarg) if arg is not None]
+            annotations += [arg.annotation for arg in arguments if arg.annotation is not None]
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    used = {name.id for annotation in annotations for name in ast.walk(annotation) if isinstance(name, ast.Name)}
+    assert {"Dataset", "misspec", "simulate"} <= used
+    assert used <= bound, sorted(used - bound)

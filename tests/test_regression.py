@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from revcheck import regression
 from revcheck.errors import (
     EmptyData,
-    GroupTooSmall,
     IndexOutOfRange,
     InvalidSpec,
     MismatchedInputs,
@@ -17,11 +15,8 @@ from revcheck.errors import (
 from revcheck.parameterization import joint_moments_from_correlations
 from revcheck.regression import (
     Dataset,
-    Lags,
     ModelSpec,
     OrderingVariable,
-    Shift,
-    TrendPoly,
     coefficient_test,
     fit,
 )
@@ -151,40 +146,6 @@ def test_design_matrix_is_an_intercept_then_the_regressors():
 def test_model_spec_rejects_a_regressor_named_intercept():
     with pytest.raises(InvalidSpec, match="'intercept' clashes"):
         ModelSpec(response="y", regressors=("x", "intercept"))
-
-
-def test_generated_columns_over_a_window():
-    data = Dataset(
-        columns={"y": np.arange(1.0, 7.0), "x": np.arange(0.0, 6.0)},
-        orderings={
-            "t": OrderingVariable("t", "time", np.arange(1.0, 7.0)),
-            "g": OrderingVariable("g", "binary_group", np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])),
-        },
-    )
-    columns = regression._generated_columns(data, (TrendPoly(2), Lags(1, "y"), Shift("g")), np.arange(1, 6))
-    names = [name for name, _ in columns]
-    assert names == ["t^1", "t^2", "y[-1]", "shift(g=1.0)"]
-    values = dict(columns)
-    # Trend powers are (t/m)^k over the m rows of the window.
-    assert np.allclose(values["t^1"], np.arange(1, 6) / 5.0)
-    assert np.allclose(values["t^2"], (np.arange(1, 6) / 5.0) ** 2)
-    assert np.allclose(values["y[-1]"], [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert values["shift(g=1.0)"].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
-
-
-def test_generated_columns_name_a_binary_shift_by_its_level():
-    # One dummy for every level but the first, so a binary ordering's marks
-    # its 1s and is named like a categorical level.
-    data = grouped_data()
-    [(name, dummy)] = regression._generated_columns(data, (Shift("g"),), np.arange(data.n))
-    assert name == "shift(g=1.0)"
-    assert dummy.tolist() == (data.ordering("g").values == 1.0).astype(float).tolist()
-
-
-def test_shift_columns_on_one_level_window_raise_group_too_small():
-    one_level = OrderingVariable("g", "binary_group", np.ones(6))
-    with pytest.raises(GroupTooSmall):
-        regression._shift_columns(one_level, np.arange(6))
 
 
 def test_two_group_reversal_pattern():
