@@ -304,18 +304,16 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
 def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
     """Conditional side for a lone trending pair: the corrected correlation."""
     from . import misspec
-    from .core_stats import Series
     from .regression import Dataset, ModelSpec, OrderingVariable, fit
 
-    x = Series(data.column(regressor), regressor)
-    y = Series(data.column(response), response)
-    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg)
+    x, y = data.column(regressor), data.column(response)
+    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg, (regressor, response))
     source = "corrected correlation"
     n_eff = len(x_clean)
     # The data's time ordering name, which Dataset keeps apart from every column.
     time = next(name for name, ordering in data.orderings.items() if ordering.kind == "time")
     clean = Dataset(
-        columns={regressor: x_clean.values, response: y_clean.values},
+        columns={regressor: x_clean, response: y_clean},
         orderings={time: OrderingVariable(time, "time", np.arange(1, n_eff + 1, dtype=float))},
     )
     clean_fit = fit(clean, ModelSpec(response=response, regressors=(regressor,)))
@@ -377,7 +375,6 @@ def cmd_analyze_regression(args) -> str:
         f" (slope-implied {verdict._fmt(slope_implied_rho)})"
     )
 
-    corrected = None
     if len(args.regressors) == 2:
         x2 = args.regressors[1]
         cond_source = f"fit {response} ~ {x1} + {x2}"
@@ -503,12 +500,13 @@ def cmd_analyze_table(args) -> str:
 # ------------------------------------------------------------------ simulate
 
 
-def _write_csv(data: Dataset, out: str, column_order: list) -> str:
+def _write_csv(data: Dataset, out: str) -> str:
+    """The dataset as CSV, its orderings first, then its columns."""
     # Every column and ordering that simulate writes holds floats.
-    series = [data.orderings[name].values if name in data.orderings else data.column(name) for name in column_order]
-    n = data.n
-    lines = [",".join(column_order)]
-    lines.extend(",".join(repr(float(value)) for value in row) for row in zip(*series))
+    columns = {name: ordering.values for name, ordering in data.orderings.items()}
+    columns.update(data.columns)
+    lines = [",".join(columns)]
+    lines.extend(",".join(repr(float(value)) for value in row) for row in zip(*columns.values()))
     text = "\n".join(lines) + "\n"
     if out == "-":
         return text
@@ -517,7 +515,7 @@ def _write_csv(data: Dataset, out: str, column_order: list) -> str:
             handle.write(text)
     except OSError as exc:
         raise InvalidSpec(f"cannot write {out}: {exc}") from None
-    return f"wrote {n} rows to {out}\n"
+    return f"wrote {data.n} rows to {out}\n"
 
 
 def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
@@ -530,16 +528,14 @@ def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
     if choice != "coefficient" and args.dgp != "trending":
         raise InvalidSpec(f"{choice} tests need the trending DGP")
     if choice == "naive-correlation":
-        return simulate.TestDescriptor(kind="naive_correlation", x="x", y="y")
+        return simulate.TestDescriptor(kind="naive_correlation")
     if choice == "corrected-correlation":
-        return simulate.TestDescriptor(
-            kind="corrected_correlation", x="x", y="y", trend_degree=args.trend_degree, lag_count=args.lags
-        )
+        return simulate.TestDescriptor(kind="corrected_correlation", trend_degree=args.trend_degree, lag_count=args.lags)
     if args.dgp != "niid":
         raise InvalidSpec("coefficient tests need the niid DGP")
     params = derive_full_params(kind.joint)
     return simulate.TestDescriptor(
-        kind="coefficient", response="y", regressors=("x1", "x2"), target="x1", null_value=params.beta1
+        kind="coefficient", regressors=("x1", "x2"), target="x1", null_value=params.beta1
     )
 
 
@@ -548,22 +544,9 @@ def cmd_simulate(args) -> str:
     from .parameterization import joint_moments_from_correlations
 
     seed = _resolve_seed(args)
-    if args.dgp_command == "bernoulli":
-        data = simulate.generate(simulate.DgpSpec(simulate.BernoulliIid(args.theta, args.n), seed))
-        return _write_csv(data, args.out, ["t", "x"])
-    if args.dgp_command == "example3":
-        data = simulate.example3_generator(n_per_group=args.n_per_group, seed=seed)
-        return _write_csv(data, args.out, ["group", "x", "y"])
-    if args.dgp_command == "niid":
-        joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
-        data = simulate.generate(simulate.DgpSpec(simulate.NiidRegression(joint, args.n), seed))
-        return _write_csv(data, args.out, ["t", "y", "x1", "x2"])
-    if args.dgp_command == "trending":
-        data = simulate.generate(simulate.DgpSpec(simulate.TrendingPair(n=args.n), seed))
-        return _write_csv(data, args.out, ["t", "x", "y"])
     if args.dgp_command == "mc-size":
         if args.dgp == "trending":
-            kind = simulate.TrendingPair(n=46 if args.n is None else args.n)
+            kind = simulate.TrendingPair() if args.n is None else simulate.TrendingPair(n=args.n)
         else:
             joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
             kind = simulate.NiidRegression(joint, 100 if args.n is None else args.n)
@@ -591,7 +574,16 @@ def cmd_simulate(args) -> str:
             f"rejection rate: {result.rejection_rate:.4f} (mc se {result.mc_se:.4f}, "
             f"nominal {result.alpha:g})\n"
         )
-    raise InvalidSpec(f"unknown simulate subcommand {args.dgp_command!r}")
+    if args.dgp_command == "example3":
+        data = simulate.example3_generator(n_per_group=args.n_per_group, seed=seed)
+    elif args.dgp_command == "bernoulli":
+        data = simulate.generate(simulate.DgpSpec(simulate.BernoulliIid(args.theta, args.n), seed))
+    elif args.dgp_command == "niid":
+        joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
+        data = simulate.generate(simulate.DgpSpec(simulate.NiidRegression(joint, args.n), seed))
+    else:
+        data = simulate.generate(simulate.DgpSpec(simulate.TrendingPair(n=args.n), seed))
+    return _write_csv(data, args.out)
 
 
 # --------------------------------------------------------- reverse-conditions
@@ -652,8 +644,7 @@ def cmd_reverse_conditions(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze-regression":
             out = cmd_analyze_regression(args)
@@ -663,8 +654,6 @@ def main(argv=None) -> int:
             out = cmd_simulate(args)
         elif args.command == "reverse-conditions":
             out = cmd_reverse_conditions(args)
-        else:
-            parser.error(f"unknown command {args.command!r}")
     except (DegenerateData, DegeneratePool) as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return 3

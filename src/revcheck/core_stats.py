@@ -127,10 +127,10 @@ def _openblas_one_thread():
 _ONE_BLAS_THREAD = _openblas_one_thread()
 
 
-def _as_finite_array(values, name: str, min_len: int = 1) -> np.ndarray:
+def _as_finite_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or (arr.ndim >= 1 and arr.shape[0] < min_len):
-        raise EmptyData(f"{name} must have at least {min_len} row(s)")
+    if arr.size == 0:
+        raise EmptyData(f"{name} must have at least 1 row(s)")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains non-finite values")
     return arr

@@ -418,13 +418,12 @@ def _corrected_rows(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, errors, na
     return (x_clean, y_clean) + _correlation_test(x_clean, y_clean, df, errors, zero_variance)
 
 
-def _corrected(x: Series, y: Series, cfg: BatteryConfig) -> tuple:
-    """corrected_correlation, plus the cleaned series it correlates."""
-    if len(x) != len(y):
-        raise MismatchedInputs(f"series lengths differ: {len(x)} vs {len(y)}")
-    x_clean, y_clean, rho, p = _corrected_rows(x.values, y.values, cfg, _RAISE, (x.label or "x", y.label or "y"))
+def _corrected(x: np.ndarray, y: np.ndarray, cfg: BatteryConfig, names: tuple) -> tuple:
+    """corrected_correlation of two equal-length columns, plus the cleaned
+    columns it correlates; names label x and y in errors ("x", "y" if empty)."""
+    x_clean, y_clean, rho, p = _corrected_rows(x, y, cfg, _RAISE, (names[0] or "x", names[1] or "y"))
     corrected = CorrectedCorrelation(rho=float(rho), p_value=float(p), n_effective=len(x_clean))
-    return corrected, Series(x_clean, x.label), Series(y_clean, y.label)
+    return corrected, x_clean, y_clean
 
 
 def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConfig()) -> CorrectedCorrelation:
@@ -439,7 +438,9 @@ def corrected_correlation(x: Series, y: Series, cfg: BatteryConfig = BatteryConf
         Underdetermined: if the series are too short, or detrending leaves
             one constant (named by its label, else "x" or "y").
     """
-    return _corrected(x, y, cfg)[0]
+    if len(x) != len(y):
+        raise MismatchedInputs(f"series lengths differ: {len(x)} vs {len(y)}")
+    return _corrected(x.values, y.values, cfg, (x.label, y.label))[0]
 
 
 # What a check raises when it cannot run on the data at hand: run_battery

@@ -239,20 +239,11 @@ def check_reversal_conditions(rho12: float, rho13: float, rho23: float) -> Rever
     return result
 
 
-def joint_moments_from_correlations(
-    rho12: float,
-    rho13: float,
-    rho23: float,
-    sds=(1.0, 1.0, 1.0),
-    means=(0.0, 0.0, 0.0),
-) -> JointMoments:
-    """Assemble JointMoments from a correlation triple, sds, and means."""
+def joint_moments_from_correlations(rho12: float, rho13: float, rho23: float) -> JointMoments:
+    """Unit-variance, zero-mean JointMoments with the given correlations."""
     for name, r in (("rho12", rho12), ("rho13", rho13), ("rho23", rho23)):
         if not np.isfinite(r) or abs(r) > 1.0:
             raise OutOfRangeCorrelation(f"{name}={r!r} is outside [-1, 1]")
-    sds = np.asarray(sds, dtype=float)
-    if np.any(sds <= 0):
-        raise NonPositiveVariance("standard deviations must be strictly positive")
     corr = np.array(
         [
             [1.0, rho12, rho13],
@@ -260,5 +251,4 @@ def joint_moments_from_correlations(
             [rho13, rho23, 1.0],
         ]
     )
-    sigma = corr * np.outer(sds, sds)
-    return JointMoments(mu=np.asarray(means, dtype=float), sigma=sigma)
+    return JointMoments(mu=np.zeros(3), sigma=corr)

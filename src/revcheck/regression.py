@@ -158,13 +158,11 @@ class FitResult:
     term_names: tuple
     coefficients: np.ndarray
     std_errors: np.ndarray
-    t_ratios: np.ndarray
     p_values: np.ndarray
     r2: float
     s: float
     n_used: int
     residuals: np.ndarray
-    condition_estimate: float
     degenerate: bool
 
     def index_of(self, term_name: str) -> int:
@@ -208,7 +206,7 @@ def _degenerate(y, residuals, errors) -> tuple:
 
 
 def _inference(y, solution, errors) -> tuple:
-    """(degenerate, s, std_errors, t_ratios, p_values, r2) of stacked fits
+    """(degenerate, s, std_errors, p_values, r2) of stacked fits
     of y, one per leading index. A degenerate fit, whose residuals are
     numerically zero-variance, reports s = 0 and zero standard errors."""
     coefficients, residuals = solution.coefficients, solution.residuals
@@ -216,10 +214,10 @@ def _inference(y, solution, errors) -> tuple:
     degenerate, rss, tss = _degenerate(y, residuals, errors)
     s2 = np.where(degenerate, 0.0, rss / (n - p))
     std_errors = np.sqrt(s2[..., None] * np.diagonal(solution.xtx_inverse, axis1=-2, axis2=-1))
-    t_ratios, p_values = _coefficient_p(coefficients, std_errors, n - p, errors)
+    p_values = _coefficient_p(coefficients, std_errors, n - p, errors)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(degenerate | (tss <= 0), 1.0, 1.0 - rss / tss)
-    return degenerate, np.sqrt(s2), std_errors, t_ratios, p_values, r2
+    return degenerate, np.sqrt(s2), std_errors, p_values, r2
 
 
 def _ols(y, columns: list, errors):
@@ -236,19 +234,17 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     regressors = [data.column(name) for name in spec.regressors]
     y = data.column(spec.response)
     solves = _ols(y, regressors, _RAISE)
-    degenerate, s, std_errors, t_ratios, p_values, r2 = _inference(y, solves, _RAISE)
+    degenerate, s, std_errors, p_values, r2 = _inference(y, solves, _RAISE)
     return FitResult(
         spec=spec,
         term_names=("intercept", *spec.regressors),
         coefficients=solves.coefficients,
         std_errors=std_errors,
-        t_ratios=t_ratios,
         p_values=p_values,
         r2=float(r2),
         s=float(s),
         n_used=len(y),
         residuals=solves.residuals,
-        condition_estimate=float(solves.condition),
         degenerate=bool(degenerate),
     )
 

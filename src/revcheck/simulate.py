@@ -346,7 +346,7 @@ def generate(spec: DgpSpec) -> Dataset:
     return _generate_with_rng(spec.kind, rng_for(spec.seed))
 
 
-def example3_generator(n_per_group: int = 50, seed: int = 0, max_attempts: int = 100) -> Dataset:
+def example3_generator(n_per_group: int = 50, seed: int = 0) -> Dataset:
     """The two-group income example with a negative pooled slope.
 
     Draws from the fixed two-group constants (first group coded 1 in the
@@ -365,7 +365,7 @@ def example3_generator(n_per_group: int = 50, seed: int = 0, max_attempts: int =
         noise_sds=_EXAMPLE3_NOISE_SDS,
         group_sizes=(n_per_group, n_per_group),
     )
-    return constrained_two_group(kind, seed=seed, max_attempts=max_attempts)
+    return constrained_two_group(kind, seed=seed)
 
 
 def constrained_two_group(kind: TwoGroupRegression, seed: int = 0, max_attempts: int = 100) -> Dataset:

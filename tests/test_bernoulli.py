@@ -299,18 +299,6 @@ def test_json_loader_rejects_a_top_level_that_is_not_an_object():
     assert str(caught.value) == "malformed stratified-tables JSON: the top level is not an object (got list)"
 
 
-def test_bundled_fixture_copies_match_repo_root():
-    # The repo root fixtures/ directory mirrors the bundled package data.
-    import pathlib
-
-    from revcheck.fixtures import fixture_path
-
-    for name in ("berkeley.json", "lindley_novick.json"):
-        bundled = json.loads(fixture_path(name).read_text())
-        root_copy = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / name
-        assert json.loads(root_copy.read_text()) == bundled
-
-
 def test_load_json_reads_a_zipped_fixtures_package(tmp_path, monkeypatch):
     # A zipped install has no fixture files on disk; load_json reads the
     # bundled data through the package's resources all the same.

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from revcheck import bernoulli, cli, misspec, regression
+from revcheck import bernoulli, cli, misspec, regression, simulate
 from revcheck.errors import RevcheckError
 from revcheck.fixtures import fixture_path
 
@@ -830,6 +832,39 @@ def test_simulate_headers_and_seed_echo(tmp_path, capsys):
     code, out, _ = run(["--seed", "3", "simulate", "example3", "--n-per-group", "5"], capsys)
     assert out.splitlines()[0] == "group,x,y"
     assert len(out.splitlines()) == 11
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["bernoulli", "--theta", "0.5", "--n", "7"], "t,x"),
+        (["example3", "--n-per-group", "5"], "group,x,y"),
+        (["niid", "--rho12", "0.5", "--rho13", "0.7", "--rho23", "0.8", "--n", "9"], "t,y,x1,x2"),
+        (["trending", "--n", "12"], "t,x,y"),
+    ],
+    ids=["bernoulli", "example3", "niid", "trending"],
+)
+def test_simulate_writes_its_header_and_full_rows(argv, header, capsys):
+    # The header is the dataset's orderings, then its generated columns.
+    code, out, _ = run(["--seed", "4", "simulate", *argv], capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert ",".join(rows[0]) == header
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_global_defaults_match_the_library_defaults():
+    # cli builds its parser without importing misspec or simulate, so it
+    # restates their defaults; this keeps the two copies equal.
+    parser = cli.build_parser()
+    alpha, degree, lags = (parser.get_default(name) for name in ("alpha", "trend_degree", "lags"))
+    assert misspec.BatteryConfig() == misspec.BatteryConfig(alpha=alpha, trend_degree=degree, lag_count=lags)
+    descriptor = {f.name: f.default for f in dataclasses.fields(simulate.TestDescriptor)}
+    assert (descriptor["trend_degree"], descriptor["lag_count"]) == (degree, lags)
+    assert inspect.signature(simulate.mc_error_rate).parameters["alpha"].default == alpha
+    assert inspect.signature(misspec.detrend).parameters["degree"].default == degree
+    assert inspect.signature(misspec.dememorize).parameters["lags"].default == lags
 
 
 def test_simulate_writes_file_deterministically(tmp_path, capsys):

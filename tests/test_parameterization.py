@@ -182,19 +182,6 @@ def test_joint_moments_from_correlations_validation():
         joint_moments_from_correlations(1.2, 0.0, 0.0)
     with pytest.raises(NonPositiveVariance):
         joint_moments_from_correlations(0.9, 0.9, -0.9)  # determinant < 0
-    with pytest.raises(NonPositiveVariance):
-        joint_moments_from_correlations(0.1, 0.1, 0.1, sds=(1.0, 0.0, 1.0))
-
-
-def test_joint_moments_from_correlations_scaling():
-    m = joint_moments_from_correlations(0.5, 0.7, 0.8, sds=(2.0, 3.0, 4.0), means=(1.0, 2.0, 3.0))
-    assert m.sigma[0, 0] == pytest.approx(4.0)
-    assert m.sigma[0, 1] == pytest.approx(0.5 * 2.0 * 3.0)
-    assert np.allclose(m.mu, [1.0, 2.0, 3.0])
-    # Correlations are scale-free, so the derived slope rescales exactly.
-    full_unit = derive_full_params(joint_moments_from_correlations(0.5, 0.7, 0.8))
-    full_scaled = derive_full_params(m)
-    assert math.isclose(full_scaled.beta1, full_unit.beta1 * 2.0 / 3.0, rel_tol=1e-12)
 
 
 def test_singular_regressor_block():
