@@ -37,7 +37,6 @@ _EXPORTS = {
     "ContingencyTable": "bernoulli",
     "CorrectedCorrelation": "misspec",
     "Dataset": "regression",
-    "DgpSpec": "simulate",
     "EventProbabilityTriple": "bernoulli",
     "EventReversalResult": "bernoulli",
     "FisherF": "core_stats",

@@ -376,15 +376,15 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
             word = "holds" if result.id_holds else "fails"
             verdicts.append(f"{label} {word} (p {format_p(result.p_value)})")
         lines.append("Constant-rate check across strata: " + ", ".join(verdicts) + ".")
+        if trustworthy:
+            lines.append("The aggregate comparison pools homogeneous rates and may be taken at face value.")
+        else:
+            lines.append(
+                "The aggregate comparison pools heterogeneous stratum rates and is not trustworthy; "
+                "only the per-stratum comparisons are interpretable."
+            )
     else:
         lines.append("A single stratum gives the constancy check nothing to compare.")
-    if trustworthy:
-        lines.append("The aggregate comparison pools homogeneous rates and may be taken at face value.")
-    else:
-        lines.append(
-            "The aggregate comparison pools heterogeneous stratum rates and is not trustworthy; "
-            "only the per-stratum comparisons are interpretable."
-        )
 
     return AggregateVerdict(
         aggregate_rates=(rate0, rate1),

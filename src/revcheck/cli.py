@@ -342,6 +342,13 @@ def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: 
     return side_fit, float(side_fit.coefficients[idx]), float(side_fit.p_values[idx]), report
 
 
+def _battery_config(args) -> misspec.BatteryConfig:
+    """--alpha, --trend-degree and --lags, for the battery and the size study alike."""
+    from . import misspec
+
+    return misspec.BatteryConfig(alpha=args.alpha, trend_degree=args.trend_degree, lag_count=args.lags)
+
+
 def cmd_analyze_regression(args) -> str:
     from . import misspec
     from .core_stats import sample_moments
@@ -354,8 +361,7 @@ def cmd_analyze_regression(args) -> str:
         raise InvalidSpec("condition on a second --regressors column or on --by-group, not both")
     response = args.response
     x1 = args.regressors[0]
-    alpha = args.alpha
-    cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=args.trend_degree, lag_count=args.lags)
+    cfg = _battery_config(args)
 
     marginal_source = f"fit {response} ~ {x1}"
     marginal_fit, slope, slope_p, marginal_report = _fitted_side(
@@ -404,7 +410,7 @@ def cmd_analyze_regression(args) -> str:
             ps.append(g_p)
             group_fits.append((level, g_fit))
             group_reports.append(g_report)
-        conditional_report = misspec.merge_reports(group_reports, alpha, cond_source)
+        conditional_report = misspec.merge_reports(group_reports, cfg.alpha, cond_source)
         if all(s == signs[0] for s in signs) and signs[0] != 0:
             raw_sign = signs[0]
         else:
@@ -437,7 +443,7 @@ def cmd_analyze_regression(args) -> str:
         )
 
     pair = verdict.AssociationPair(marginal=marginal_side, conditional=conditional_side, conditioning=conditioning)
-    result = verdict.classify(pair, marginal_report, conditional_report, alpha=alpha)
+    result = verdict.classify(pair, marginal_report, conditional_report, alpha=cfg.alpha)
     return verdict.render(result, args.output, narrative="\n".join(narrative))
 
 
@@ -527,10 +533,8 @@ def _mc_test_descriptor(args, kind) -> simulate.TestDescriptor:
         choice = "naive-correlation" if args.dgp == "trending" else "coefficient"
     if choice != "coefficient" and args.dgp != "trending":
         raise InvalidSpec(f"{choice} tests need the trending DGP")
-    if choice == "naive-correlation":
-        return simulate.TestDescriptor(kind="naive_correlation")
-    if choice == "corrected-correlation":
-        return simulate.TestDescriptor(kind="corrected_correlation", trend_degree=args.trend_degree, lag_count=args.lags)
+    if choice != "coefficient":
+        return simulate.TestDescriptor(kind=choice.replace("-", "_"))
     if args.dgp != "niid":
         raise InvalidSpec("coefficient tests need the niid DGP")
     params = derive_full_params(kind.joint)
@@ -553,9 +557,7 @@ def cmd_simulate(args) -> str:
         descriptor = _mc_test_descriptor(args, kind)
         if args.threads < 1:
             raise InvalidSpec("threads must be >= 1")
-        result = simulate.mc_error_rate(
-            simulate.DgpSpec(kind, seed), descriptor, alpha=args.alpha, replications=args.reps
-        )
+        result = simulate.mc_error_rate(kind, seed, descriptor, _battery_config(args), args.reps)
         if args.output == "json":
             payload = {
                 "dgp": args.dgp,
@@ -577,12 +579,12 @@ def cmd_simulate(args) -> str:
     if args.dgp_command == "example3":
         data = simulate.example3_generator(n_per_group=args.n_per_group, seed=seed)
     elif args.dgp_command == "bernoulli":
-        data = simulate.generate(simulate.DgpSpec(simulate.BernoulliIid(args.theta, args.n), seed))
+        data = simulate.generate(simulate.BernoulliIid(args.theta, args.n), seed)
     elif args.dgp_command == "niid":
         joint = joint_moments_from_correlations(args.rho12, args.rho13, args.rho23)
-        data = simulate.generate(simulate.DgpSpec(simulate.NiidRegression(joint, args.n), seed))
+        data = simulate.generate(simulate.NiidRegression(joint, args.n), seed)
     else:
-        data = simulate.generate(simulate.DgpSpec(simulate.TrendingPair(n=args.n), seed))
+        data = simulate.generate(simulate.TrendingPair(n=args.n), seed)
     return _write_csv(data, args.out)
 
 

@@ -18,7 +18,8 @@ correlation tests that of `naive_correlation_test` and
 and `_inference` (of which `regression.fit` is the one-row call) and the
 `_coefficient_p` of `regression.coefficient_test`. So each row gets the
 same decision and fails with the same error as its dataset tested on its
-own.
+own. A study reads the analysis's own `misspec.BatteryConfig` for its
+level and the corrected correlation's trend degree and lag count.
 
 Four generators are provided:
 
@@ -252,21 +253,6 @@ class BernoulliIid:
             raise InvalidSpec("BernoulliIid needs n >= 1")
 
 
-_KINDS = (NiidRegression, TrendingPair, TwoGroupRegression, BernoulliIid)
-
-
-@dataclass(frozen=True)
-class DgpSpec:
-    """A generator kind plus the seed that makes it deterministic."""
-
-    kind: object
-    seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.kind, _KINDS):
-            raise InvalidSpec(f"unknown DGP kind {type(self.kind).__name__}")
-
-
 def _ar1(z: np.ndarray, ar: float, innovation_sd: float) -> np.ndarray:
     """AR(1) paths, one per row of standard normals z.
 
@@ -291,8 +277,11 @@ def _polynomial(coefficients: tuple, s: np.ndarray) -> np.ndarray:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _draw_columns(kind, rngs) -> dict:
     """The columns a DGP kind draws, one row per generator in rngs.
+
+    A draw that overflows leaves inf or nan for the study or Dataset to reject.
 
     The generators are taken in sequence, and each row is drawn before the
     next generator is taken, so rngs may yield one generator reloaded
@@ -341,9 +330,9 @@ def _generate_with_rng(kind, rng: np.random.Generator) -> Dataset:
     return Dataset(columns={name: rows[0] for name, rows in columns.items()}, orderings=_orderings(kind))
 
 
-def generate(spec: DgpSpec) -> Dataset:
+def generate(kind, seed: int) -> Dataset:
     """Generate the dataset determined by (kind, seed)."""
-    return _generate_with_rng(spec.kind, rng_for(spec.seed))
+    return _generate_with_rng(kind, rng_for(seed))
 
 
 def example3_generator(n_per_group: int = 50, seed: int = 0) -> Dataset:
@@ -398,8 +387,6 @@ class TestDescriptor:
     null_value: float = 0.0
     x: str = "x"
     y: str = "y"
-    trend_degree: int = 3
-    lag_count: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
@@ -476,7 +463,7 @@ def _column(columns: dict, name: str, errors: _FirstError) -> np.ndarray:
     return columns[name]
 
 
-def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
+def _coefficient_rejections(columns: dict, test: TestDescriptor, cfg, errors: _FirstError) -> np.ndarray:
     # regression.fit, FitResult.index_of, then regression.coefficient_test.
     spec = ModelSpec(response=test.response, regressors=test.regressors)
     regressors = [_column(columns, name, errors) for name in spec.regressors]
@@ -489,20 +476,19 @@ def _coefficient_rejections(columns: dict, test: TestDescriptor, alpha: float, e
     index = terms.index(test.target)
     diff = solves.coefficients[:, index] - test.null_value
     _, p = regression._coefficient_p(diff, std_errors[:, index], y.shape[1] - len(terms), errors)
-    return p < alpha
+    return p < cfg.alpha
 
 
-def _naive_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
+def _naive_rejections(columns: dict, test: TestDescriptor, cfg, errors: _FirstError) -> np.ndarray:
     x = _column(columns, test.x, errors)
     y = _column(columns, test.y, errors)
-    return _naive_rows(x, y, errors)[1] < alpha
+    return _naive_rows(x, y, errors)[1] < cfg.alpha
 
 
-def _corrected_rejections(columns: dict, test: TestDescriptor, alpha: float, errors: _FirstError) -> np.ndarray:
-    cfg = misspec.BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
+def _corrected_rejections(columns: dict, test: TestDescriptor, cfg, errors: _FirstError) -> np.ndarray:
     x = _column(columns, test.x, errors)
     y = _column(columns, test.y, errors)
-    return misspec._corrected_rows(x, y, cfg, errors, (test.x, test.y))[3] < alpha
+    return misspec._corrected_rows(x, y, cfg, errors, (test.x, test.y))[3] < cfg.alpha
 
 
 _REJECTIONS = {
@@ -513,38 +499,41 @@ _REJECTIONS = {
 
 
 def mc_error_rate(
-    dgp: DgpSpec,
+    kind,
+    seed: int,
     test: TestDescriptor,
-    alpha: float = 0.05,
+    cfg: misspec.BatteryConfig = misspec.BatteryConfig(),
     replications: int = 10_000,
 ) -> MonteCarloResult:
     """Empirical rejection rate of a test under a data-generating process.
 
-    Replication r consumes the stream derived from (dgp.seed, r), exactly
-    the one rng_for(dgp.seed, r) gives, so the result is a pure function of
-    the arguments. Replications are generated and tested in blocks of 256 as
+    cfg is the analysis's BatteryConfig: the study rejects at cfg.alpha, and
+    the corrected correlation cleans with cfg's trend degree and lag count.
+
+    Replication r consumes the stream derived from (seed, r), exactly the
+    one rng_for(seed, r) gives, so the result is a pure function of the
+    arguments. Replications are generated and tested in blocks of 256 as
     stacked arrays, one block after another on the calling thread; each
     block computes its rows' generator states in one pass and draws every
     row from one reused generator.
 
     Raises:
         InvalidSpec: if replications < 1000 (the rate would be too noisy
-            to interpret against a nominal level).
+            to interpret against a nominal level), or if kind is not one of
+            the four generators.
         RevcheckError: the error the first failing replication raises when
             its dataset is generated and tested on its own.
-        ValueError: if dgp.seed is negative, as rng_for raises.
+        ValueError: if seed is negative, as rng_for raises.
     """
     if replications < 1000:
         raise InvalidSpec("use at least 1000 replications")
-    if not 0 < alpha < 1:
-        raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
 
     rejections = 0
     rng = np.random.Generator(np.random.PCG64())  # each row loads its own state
     for start in range(0, replications, _BLOCK):
         errors = _FirstError(start)
-        rngs = _replication_rngs(dgp.seed, start, min(start + _BLOCK, replications), rng)
-        columns = _draw_columns(dgp.kind, rngs)
+        rngs = _replication_rngs(seed, start, min(start + _BLOCK, replications), rng)
+        columns = _draw_columns(kind, rngs)
         for name, rows in columns.items():
             bad = ~np.isfinite(rows).all(axis=1)
             errors.flag(bad, NonFiniteInput, f"column {name!r} contains non-finite values")
@@ -553,15 +542,15 @@ def mc_error_rate(
         if errors.row == 0:
             errors.raise_first()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            reject = _REJECTIONS[test.kind](columns, test, alpha, errors)
+            reject = _REJECTIONS[test.kind](columns, test, cfg, errors)
         errors.raise_first()
         rejections += int(np.count_nonzero(reject))
     rate = rejections / replications
-    mc_se = float(np.sqrt(alpha * (1.0 - alpha) / replications))
+    mc_se = float(np.sqrt(cfg.alpha * (1.0 - cfg.alpha) / replications))
     return MonteCarloResult(
         replications=replications,
         rejections=rejections,
         rejection_rate=rate,
         mc_se=mc_se,
-        alpha=alpha,
+        alpha=cfg.alpha,
     )

@@ -7,12 +7,15 @@ Usage:
 
 For each seed it builds every operation of the three benchmark workloads
 once with perfbench/inputs.build_round (read from the checkout holding this
-script, in a temporary directory), and adds the four `simulate` generator
-commands. Each tree runs all of them through `revcheck.cli.main`, in one
-fresh interpreter that imports revcheck from the tree's src/. Every call
-whose exit code, stdout or stderr differs is listed, and the script exits 1
-if there is any. Given one tree, it runs that tree twice, which checks that
-the same flags and seed give the same output.
+script, in a temporary directory), runs each both as the benchmark does
+(`--output json`) and in the text format, and adds the four `simulate`
+generator commands. Once for all seeds it adds `reverse-conditions` in both
+formats and a few error exits. Each tree runs all of them through
+`revcheck.cli.main`, in one fresh interpreter that imports revcheck from
+the tree's src/. Every call whose exit code, stdout or stderr differs is
+listed, and the script exits 1 if there is any. Given one tree, it runs
+that tree twice, which checks that the same flags and seed give the same
+output.
 """
 
 from __future__ import annotations
@@ -36,6 +39,20 @@ GENERATORS = (
     ["simulate", "niid", "--rho12", "0.5", "--rho13", "0.7", "--rho23", "0.8", "--n", "200"],
     ["simulate", "trending", "--n", "46"],
 )
+
+# Calls that read no seed: a derivation in both formats, and error exits.
+EXTRAS = (
+    ["reverse-conditions", ".5", ".7", ".8"],
+    ["--output", "json", "reverse-conditions", ".5", ".7", ".8"],
+    ["reverse-conditions", "2", "0", "0"],
+    ["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--reps", "999"],
+)
+
+# A table family without its "strata" key.
+MISSING_KEY_TABLE = {
+    "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": [[5, 3], [5, 7]]},
+    "complete": True,
+}
 
 # Runs each argv read from stdin through cli.main and writes, as JSON, the
 # module's path and one [exit code, stdout, stderr] per call.
@@ -67,9 +84,24 @@ def calls(seeds: list, workdir: Path) -> list:
                 argvs = op.argv if isinstance(op.argv[0], list) else [op.argv]
                 for j, argv in enumerate(argvs):
                     found.append((f"{workload} seed {seed} op {i}.{j} ({op.kind})", argv))
+                    found.append((f"{workload} seed {seed} op {i}.{j} ({op.kind}, text)", _as_text(argv)))
         for argv in GENERATORS:
             found.append((f"generator seed {seed} ({argv[1]})", ["--seed", str(seed), *argv]))
+    missing_key = workdir / "missing-key.json"
+    missing_key.write_text(json.dumps(MISSING_KEY_TABLE))
+    extras = [
+        *EXTRAS,
+        ["analyze-regression", str(workdir / "missing.csv"), "--response", "y", "--regressors", "x"],
+        ["analyze-table", str(missing_key)],
+    ]
+    found.extend((f"extra {' '.join(argv)}", argv) for argv in extras)
     return found
+
+
+def _as_text(argv: list) -> list:
+    """A benchmark argv with its `--output json` dropped, so it renders text."""
+    i = argv.index("--output")
+    return argv[:i] + argv[i + 2 :]
 
 
 def run_tree(tree: Path, argvs: list, workdir: Path) -> list:

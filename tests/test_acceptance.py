@@ -38,7 +38,6 @@ from revcheck.parameterization import (
 )
 from revcheck.regression import Dataset, ModelSpec, OrderingVariable, fit
 from revcheck.simulate import (
-    DgpSpec,
     TestDescriptor,
     TrendingPair,
     example3_generator,
@@ -212,7 +211,7 @@ def test_criterion_05_serial_correlation_correction():
     naive_hits = 0
     corrected_hits = 0
     for seed in range(100):
-        data = generate(DgpSpec(kind=TrendingPair(), seed=seed))
+        data = generate(TrendingPair(), seed)
         x, y = data.column("x"), data.column("y")
         rho, p = naive_correlation_test(x, y)
         if abs(rho) > 0.8 and p < 0.001:
@@ -284,11 +283,7 @@ def test_criterion_06_check_sizes_near_nominal():
 
 def test_criterion_07_naive_test_oversize_under_trend():
     started = time.perf_counter()
-    result = mc_error_rate(
-        DgpSpec(kind=TrendingPair(), seed=2026),
-        TestDescriptor(kind="naive_correlation"),
-        replications=10_000,
-    )
+    result = mc_error_rate(TrendingPair(), 2026, TestDescriptor(kind="naive_correlation"), replications=10_000)
     elapsed = time.perf_counter() - started
     ok = result.rejection_rate > 0.5 and elapsed < 60.0
     report(

@@ -1,12 +1,12 @@
 import csv
-import dataclasses
 import inspect
 import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from revcheck import bernoulli, cli, misspec, regression, simulate
+from revcheck import bernoulli, cli, misspec, regression
 from revcheck.errors import RevcheckError
 from revcheck.fixtures import fixture_path
 
@@ -121,6 +121,31 @@ def test_analyze_regression_by_group(example3_csv, capsys):
     assert "Group 0.0: y = " in out and "Group 1.0: y = " in out
     assert "Conditioning: within levels of group" in out
     assert "direction -" in out and "direction +" in out
+
+
+def test_by_group_slopes_of_opposite_signs_give_no_conditional_direction(tmp_path, capsys):
+    # Group 1's slope is about +1.8 and group 0's about -0.5, and the pooled
+    # slope is positive: the groups agree on no sign, so the conditional
+    # side has direction 0, and its p is the larger of the groups' p-values.
+    rng = np.random.default_rng(0)
+    groups = []
+    for g, slope in ((1, 1.8), (0, -0.5)):
+        x = rng.standard_normal(40)
+        groups.append((g, x, slope * x + rng.standard_normal(40)))
+    rows = [f"{g},{a!r},{b!r}\n" for g, x, y in groups for a, b in zip(x.tolist(), y.tolist())]
+    path = write_csv(tmp_path / "signs.csv", "g,x,y\n" + "".join(rows))
+    code, out, err = run(
+        ["--output", "json", "analyze-regression", path, "--response", "y", "--regressors", "x",
+         "--ordering", "g", "--by-group", "g"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    fits = [stats.linregress(x, y) for _, x, y in groups]
+    assert fits[0].slope > 0 > fits[1].slope
+    assert payload["marginal"]["direction"] == 1
+    assert payload["conditional"]["direction"] == 0
+    assert payload["conditional"]["p_value"] == pytest.approx(max(f.pvalue for f in fits), rel=1e-9)
 
 
 def test_analyze_regression_two_regressors(tmp_path, capsys):
@@ -282,6 +307,17 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
         capsys,
     )
     assert code == 2 and "needs a group ordering" in err
+    code, _, err = run(
+        ["analyze-regression", trending_csv, "--response", "y", "--regressors", "a", "b", "c"], capsys
+    )
+    assert code == 2 and err == "error: give one or two regressor columns\n"
+    one_level = write_csv(tmp_path / "one_level.csv", "g,x,y\n0,1,2\n0,2,3\n0,3,5\n0,4,4\n0,5,7\n0,6,6\n")
+    code, _, err = run(
+        ["analyze-regression", one_level, "--response", "y", "--regressors", "x",
+         "--ordering", "g", "--by-group", "g"],
+        capsys,
+    )
+    assert code == 2 and err == "error: ordering 'g' has fewer than two levels\n"
     ragged = write_csv(tmp_path / "ragged.csv", "x,y\n1,2\n3\n")
     code, _, err = run(
         ["analyze-regression", ragged, "--response", "y", "--regressors", "x"], capsys
@@ -334,6 +370,12 @@ def test_analyze_regression_error_paths(tmp_path, trending_csv, capsys):
     study = ["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--test", "corrected-correlation"]
     code, _, err = run(["--lags", "30"] + study, capsys)
     assert code == 2 and err == "error: replication 0: " + lags_message
+    # The study reads the analysis's settings, so it rejects the same ones
+    # whichever test it runs.
+    for dgp, test in (("trending", "naive-correlation"), ("trending", "corrected-correlation"), ("niid", "coefficient")):
+        argv = ["--lags", "0", "--seed", "1", "simulate", "mc-size", "--dgp", dgp, "--test", test]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: lag_count must be >= 1\n")
 
 
 # Ingest faults, each with the message it must produce. When a file has
@@ -780,6 +822,26 @@ def test_analyze_table_shows_a_p_of_one_as_one(tmp_path, capsys):
     assert "= .000" not in out
 
 
+def test_analyze_table_with_one_stratum_claims_no_homogeneity(tmp_path, capsys):
+    # One stratum leaves the constant-rate check untested, so the narrative
+    # does not call the pooled rates homogeneous.
+    path = tmp_path / "one.json"
+    path.write_text(
+        json.dumps(
+            {
+                "aggregate": {"labels": {"rows": ["yes", "no"], "cols": ["a", "b"]}, "counts": [[5, 3], [5, 7]]},
+                "strata": [{"name": "s1", "counts": [[5, 3], [5, 7]]}],
+                "complete": True,
+            }
+        )
+    )
+    code, out, err = run(["analyze-table", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "  A single stratum gives the constancy check nothing to compare.\n" in out
+    assert "face value" not in out and "heterogeneous" not in out
+    assert "[2] constant mean: untested" in out and "[3] constant variance: untested" in out
+
+
 def test_overflowing_sums_of_squares_exit_2(tmp_path, capsys):
     # Finite data whose squares overflow: the residual and total sums of
     # squares are both inf, which must not read as an exact fit.
@@ -855,14 +917,11 @@ def test_simulate_writes_its_header_and_full_rows(argv, header, capsys):
 
 
 def test_global_defaults_match_the_library_defaults():
-    # cli builds its parser without importing misspec or simulate, so it
-    # restates their defaults; this keeps the two copies equal.
+    # cli builds its parser without importing misspec, so it restates the
+    # battery's defaults; this keeps the two copies equal.
     parser = cli.build_parser()
     alpha, degree, lags = (parser.get_default(name) for name in ("alpha", "trend_degree", "lags"))
     assert misspec.BatteryConfig() == misspec.BatteryConfig(alpha=alpha, trend_degree=degree, lag_count=lags)
-    descriptor = {f.name: f.default for f in dataclasses.fields(simulate.TestDescriptor)}
-    assert (descriptor["trend_degree"], descriptor["lag_count"]) == (degree, lags)
-    assert inspect.signature(simulate.mc_error_rate).parameters["alpha"].default == alpha
     assert inspect.signature(misspec.detrend).parameters["degree"].default == degree
     assert inspect.signature(misspec.dememorize).parameters["lags"].default == lags
 
@@ -913,10 +972,18 @@ def test_mc_size_n_zero_exits_2(dgp, message, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("test", ["naive-correlation", "corrected-correlation"])
-def test_mc_size_correlation_test_on_niid_exits_2(test, capsys):
-    code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", "niid", "--test", test, "--reps", "1000"], capsys)
-    assert (code, out, err) == (2, "", f"error: {test} tests need the trending DGP\n")
+@pytest.mark.parametrize(
+    "test, dgp, needed",
+    [
+        ("naive-correlation", "niid", "trending"),
+        ("corrected-correlation", "niid", "trending"),
+        ("coefficient", "trending", "niid"),
+    ],
+    ids=["naive-correlation", "corrected-correlation", "coefficient-on-trending"],
+)
+def test_mc_size_correlation_test_on_niid_exits_2(test, dgp, needed, capsys):
+    code, out, err = run(["--seed", "1", "simulate", "mc-size", "--dgp", dgp, "--test", test, "--reps", "1000"], capsys)
+    assert (code, out, err) == (2, "", f"error: {test} tests need the {needed} DGP\n")
 
 
 def test_mc_size_threads_below_one_exits_2(capsys):

@@ -7,13 +7,19 @@ from scipy import stats
 
 from revcheck import core_stats, misspec, regression, simulate
 from revcheck.core_stats import Series, StudentT, sample_moments, tail_prob
-from revcheck.errors import GenerationFailed, InvalidSpec, RankDeficient, Underdetermined, UnknownColumn
+from revcheck.errors import (
+    GenerationFailed,
+    InvalidSpec,
+    NonFiniteInput,
+    RankDeficient,
+    Underdetermined,
+    UnknownColumn,
+)
 from revcheck.misspec import BatteryConfig, corrected_correlation
 from revcheck.parameterization import derive_full_params, joint_moments_from_correlations
 from revcheck.regression import ModelSpec, coefficient_test, fit
 from revcheck.simulate import (
     BernoulliIid,
-    DgpSpec,
     NiidRegression,
     TestDescriptor,
     TrendingPair,
@@ -29,12 +35,11 @@ from revcheck.simulate import (
 
 
 def test_generate_is_deterministic():
-    spec = DgpSpec(kind=TrendingPair(n=30), seed=17)
-    first = generate(spec)
-    second = generate(spec)
+    first = generate(TrendingPair(n=30), 17)
+    second = generate(TrendingPair(n=30), 17)
     assert np.array_equal(first.columns["x"], second.columns["x"])
     assert np.array_equal(first.columns["y"], second.columns["y"])
-    other = generate(DgpSpec(kind=TrendingPair(n=30), seed=18))
+    other = generate(TrendingPair(n=30), 18)
     assert not np.array_equal(first.columns["x"], other.columns["x"])
 
 
@@ -54,7 +59,7 @@ def test_replication_streams_are_distinct_and_reproducible():
 
 
 def test_bernoulli_iid_mean():
-    data = generate(DgpSpec(kind=BernoulliIid(theta=0.6, n=20_000), seed=3))
+    data = generate(BernoulliIid(theta=0.6, n=20_000), 3)
     x = data.columns["x"]
     assert set(np.unique(x)) <= {0.0, 1.0}
     assert abs(x.mean() - 0.6) < 0.02
@@ -62,7 +67,7 @@ def test_bernoulli_iid_mean():
 
 def test_niid_regression_hits_target_correlations():
     joint = joint_moments_from_correlations(0.3, 0.5, 0.7)
-    data = generate(DgpSpec(kind=NiidRegression(joint=joint, n=200_000), seed=11))
+    data = generate(NiidRegression(joint=joint, n=200_000), 11)
     stacked = np.column_stack([data.columns["y"], data.columns["x1"], data.columns["x2"]])
     corr = sample_moments(stacked).corr
     assert abs(corr[0, 1] - 0.3) < 0.01
@@ -71,7 +76,7 @@ def test_niid_regression_hits_target_correlations():
 
 
 def test_trending_pair_naive_correlation_is_spurious():
-    data = generate(DgpSpec(kind=TrendingPair(), seed=0))
+    data = generate(TrendingPair(), 0)
     assert data.columns["x"].shape == (46,)
     rho, p = naive_correlation_test(data.columns["x"], data.columns["y"])
     assert rho > 0.8
@@ -87,7 +92,7 @@ def test_two_group_coding_and_sizes():
         noise_sds=(1.0, 1.0),
         group_sizes=(8, 13),
     )
-    data = generate(DgpSpec(kind=kind, seed=4))
+    data = generate(kind, 4)
     group = data.orderings["group"].values
     assert group.shape == (21,)
     assert np.array_equal(group[:8], np.ones(8))
@@ -127,7 +132,7 @@ def test_constrained_generator_exhausts_attempts():
 
 def test_spec_validation():
     with pytest.raises(InvalidSpec):
-        DgpSpec(kind="trending", seed=0)
+        generate("trending", 0)
     with pytest.raises(InvalidSpec):
         TrendingPair(n=5)
     with pytest.raises(InvalidSpec):
@@ -141,23 +146,23 @@ def test_spec_validation():
 
 
 def test_mc_error_rate_rejects_noisy_settings():
-    dgp = DgpSpec(kind=BernoulliIid(theta=0.5, n=20), seed=0)
+    kind = BernoulliIid(theta=0.5, n=20)
     test = TestDescriptor(kind="naive_correlation")
     with pytest.raises(InvalidSpec):
-        mc_error_rate(dgp, test, replications=500)
+        mc_error_rate(kind, 0, test, replications=500)
     with pytest.raises(InvalidSpec):
-        mc_error_rate(dgp, test, alpha=1.5)
+        mc_error_rate(kind, 0, test, BatteryConfig(alpha=1.5))
 
 
 def test_coefficient_test_is_sized_under_the_null():
     # x1 is independent of y, so rejecting its coefficient at alpha = .05
     # should happen about 5% of the time.
     joint = joint_moments_from_correlations(0.0, 0.0, 0.3)
-    dgp = DgpSpec(kind=NiidRegression(joint=joint, n=60), seed=77)
+    kind = NiidRegression(joint=joint, n=60)
     test = TestDescriptor(
         kind="coefficient", response="y", regressors=("x1", "x2"), target="x1"
     )
-    result = mc_error_rate(dgp, test, replications=2000)
+    result = mc_error_rate(kind, 77, test, replications=2000)
     assert result.replications == 2000
     assert result.mc_se == pytest.approx(math.sqrt(0.05 * 0.95 / 2000))
     assert 0.03 < result.rejection_rate < 0.07
@@ -187,7 +192,7 @@ def test_generated_streams_are_pinned():
     # Replication r of a study is the dataset rng_for(seed, r) gives; these
     # values pin the draw order (x start, x innovations, y start, y
     # innovations) so stored size tables stay reproducible.
-    data = generate(DgpSpec(kind=TrendingPair(), seed=0))
+    data = generate(TrendingPair(), 0)
     x, y = data.columns["x"], data.columns["y"]
     assert [x[0], x[-1], y[0], y[-1]] == pytest.approx(
         [75.80386831240531, 61.72064697731098, 24.83662267185802, 14.591340907387691], rel=1e-12
@@ -217,7 +222,7 @@ def _lstsq_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
 
 
-def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: int, alpha: float = 0.05) -> list:
+def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: int, cfg=BatteryConfig()) -> list:
     """Each replication's decision, computed apart from revcheck's fitting
     and testing code: one generated dataset at a time, numpy.linalg.lstsq
     for the fits and scipy.stats.t for the p-values."""
@@ -236,9 +241,9 @@ def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: i
             continue
         x, y = columns[test.x], columns[test.y]
         if test.kind == "corrected_correlation":
-            n, lags = len(x), test.lag_count
+            n, lags = len(x), cfg.lag_count
             s = np.arange(1, n + 1) / n
-            trend = np.column_stack([s**k for k in range(test.trend_degree + 1)])
+            trend = np.column_stack([s**k for k in range(cfg.trend_degree + 1)])
             cleaned = []
             for v in (x, y):
                 v = _lstsq_residuals(trend, v)
@@ -249,23 +254,22 @@ def _reference_rejections(kind, seed: int, test: TestDescriptor, replications: i
         df = len(x) - 2
         statistics.append(rho * math.sqrt(df / (1.0 - rho * rho)))
     p = 2.0 * stats.t.sf(np.abs(statistics), df)
-    return (p < alpha).tolist()
+    return (p < cfg.alpha).tolist()
 
 
-def _per_dataset_decisions(kind, seed: int, test: TestDescriptor, replications: int, alpha: float = 0.05) -> list:
+def _per_dataset_decisions(kind, seed: int, test: TestDescriptor, replications: int, cfg=BatteryConfig()) -> list:
     """Each replication's decision through the public per-dataset functions."""
     decisions = []
     for r in range(replications):
         data = _generate_with_rng(kind, rng_for(seed, r))
         if test.kind == "coefficient":
             result = fit(data, ModelSpec(response=test.response, regressors=test.regressors))
-            decision = coefficient_test(result, result.index_of(test.target), test.null_value, alpha).reject
+            decision = coefficient_test(result, result.index_of(test.target), test.null_value, cfg.alpha).reject
         elif test.kind == "naive_correlation":
-            decision = naive_correlation_test(data.column(test.x), data.column(test.y))[1] < alpha
+            decision = naive_correlation_test(data.column(test.x), data.column(test.y))[1] < cfg.alpha
         else:
-            cfg = BatteryConfig(alpha=alpha, trend_degree=test.trend_degree, lag_count=test.lag_count)
             corrected = corrected_correlation(Series(data.column(test.x)), Series(data.column(test.y)), cfg)
-            decision = corrected.p_value < alpha
+            decision = corrected.p_value < cfg.alpha
         decisions.append(bool(decision))
     return decisions
 
@@ -318,7 +322,7 @@ def test_study_draws_each_replication_from_its_own_stream(kind, test, monkeypatc
 
     draw_columns = simulate._draw_columns
     monkeypatch.setattr(simulate, "_draw_columns", recording)
-    mc_error_rate(DgpSpec(kind, 2026), test, replications=1000)
+    mc_error_rate(kind, 2026, test, replications=1000)
     assert [len(next(iter(block.values()))) for block in drawn] == [256, 256, 256, 232]
     for (start, stop), block in zip(_blocks(0, 1000), drawn):
         for r in range(start, stop):
@@ -330,7 +334,7 @@ def test_study_draws_each_replication_from_its_own_stream(kind, test, monkeypatc
 
 def test_study_with_a_negative_seed_raises():
     with pytest.raises(ValueError, match="non-negative"):
-        mc_error_rate(DgpSpec(TrendingPair(), -1), TestDescriptor(kind="naive_correlation"), replications=1000)
+        mc_error_rate(TrendingPair(), -1, TestDescriptor(kind="naive_correlation"), replications=1000)
 
 
 @pytest.mark.parametrize("pairing", sorted(_PAIRINGS))
@@ -340,26 +344,34 @@ def test_batched_study_matches_per_dataset_reference(pairing, seed):
     kind, test = _PAIRINGS[pairing]
     decisions = _reference_rejections(kind, seed, test, 1300)
     for replications in (1000, 1300):
-        result = mc_error_rate(DgpSpec(kind, seed), test, replications=replications)
+        result = mc_error_rate(kind, seed, test, replications=replications)
         assert result.rejections == sum(decisions[:replications])
 
 
+_ALL_ZERO = BernoulliIid(theta=0.0, n=20)
+
+
 @pytest.mark.parametrize(
-    "kind, test, error",
+    "kind, test, error, cfg",
     [
-        (BernoulliIid(theta=0.0, n=20), TestDescriptor(kind="naive_correlation", x="x", y="x"), InvalidSpec),
-        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1", "z"), target="x1"), UnknownColumn),
-        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1",), target="x2"), UnknownColumn),
-        (BernoulliIid(theta=0.0, n=20), TestDescriptor(kind="corrected_correlation", x="x", y="x"), Underdetermined),
-        (TrendingPair(n=12), TestDescriptor(kind="corrected_correlation", lag_count=6, trend_degree=1), Underdetermined),
-        (TrendingPair(n=60), TestDescriptor(kind="corrected_correlation", trend_degree=16), RankDeficient),
+        (_ALL_ZERO, TestDescriptor(kind="naive_correlation", x="x", y="x"), InvalidSpec, BatteryConfig()),
+        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1", "z"), target="x1"), UnknownColumn, BatteryConfig()),
+        (_NIID, TestDescriptor(kind="coefficient", regressors=("x1",), target="x2"), UnknownColumn, BatteryConfig()),
+        (_ALL_ZERO, TestDescriptor(kind="corrected_correlation", x="x", y="x"), Underdetermined, BatteryConfig()),
+        (
+            TrendingPair(n=12),
+            TestDescriptor(kind="corrected_correlation"),
+            Underdetermined,
+            BatteryConfig(trend_degree=1, lag_count=6),
+        ),
+        (TrendingPair(n=60), TestDescriptor(kind="corrected_correlation"), RankDeficient, BatteryConfig(trend_degree=16)),
     ],
 )
-def test_batched_study_raises_what_the_per_dataset_path_raises(kind, test, error):
+def test_batched_study_raises_what_the_per_dataset_path_raises(kind, test, error, cfg):
     with pytest.raises(error):
-        _per_dataset_decisions(kind, 3, test, 1000)
+        _per_dataset_decisions(kind, 3, test, 1000, cfg)
     with pytest.raises(error):
-        mc_error_rate(DgpSpec(kind, 3), test, replications=1000)
+        mc_error_rate(kind, 3, test, cfg, replications=1000)
 
 
 def test_batched_study_reports_the_first_failing_replication():
@@ -377,14 +389,33 @@ def test_batched_study_reports_the_first_failing_replication():
     assert first is not None and first >= 256
     test = TestDescriptor(kind="naive_correlation", x="x", y="x")
     with pytest.raises(InvalidSpec, match=f"^replication {first}: a column has zero variance$"):
-        mc_error_rate(DgpSpec(kind, 1), test, replications=5000)
+        mc_error_rate(kind, 1, test, replications=5000)
+
+
+# x_sd * z overflows to inf wherever |z| exceeds about 1.8.
+_OVERFLOWING = TwoGroupRegression(
+    intercepts=(0, 0), slopes=(1, 1), x_means=(0, 0), x_sd=1e308, noise_sds=(1, 1), group_sizes=(20, 20)
+)
+
+
+def test_generation_that_overflows_raises_non_finite_input():
+    with pytest.raises(NonFiniteInput, match="^column 'x' contains non-finite values$"):
+        generate(_OVERFLOWING, 0)
+
+
+def test_study_that_overflows_raises_non_finite_input_at_replication_0():
+    # Replication 0 fails while its block is generated, before any check of
+    # the test runs.
+    test = TestDescriptor(kind="naive_correlation")
+    with pytest.raises(NonFiniteInput, match="^replication 0: column 'x' contains non-finite values$"):
+        mc_error_rate(_OVERFLOWING, 0, test, replications=1000)
 
 
 def test_batched_study_names_the_column_detrended_to_constant():
     # All-zero draws leave column x constant after detrending.
     test = TestDescriptor(kind="corrected_correlation", x="x", y="x")
     with pytest.raises(Underdetermined) as caught:
-        mc_error_rate(DgpSpec(BernoulliIid(theta=0.0, n=20), 3), test, replications=1000)
+        mc_error_rate(BernoulliIid(theta=0.0, n=20), 3, test, replications=1000)
     assert str(caught.value) == (
         "replication 0: detrending of degree 3 (--trend-degree) leaves 'x' constant, "
         "so the corrected correlation cannot be computed"
@@ -451,5 +482,5 @@ def test_batched_study_makes_no_per_replication_calls(monkeypatch):
     watched.update(dict.fromkeys(originals, 0))
     for pairing in ("trending-corrected", "trending-naive", "niid-coefficient"):
         kind, test = _PAIRINGS[pairing]
-        assert mc_error_rate(DgpSpec(kind, 4), test, replications=1000).replications == 1000
+        assert mc_error_rate(kind, 4, test, replications=1000).replications == 1000
     assert all(count == 0 for count in watched.values()), watched
