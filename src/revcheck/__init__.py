@@ -30,10 +30,8 @@ _EXPORTS = {
     "AssociationPair": "verdict",
     "AssociationSide": "verdict",
     "BatteryConfig": "misspec",
-    "BernoulliEstimate": "bernoulli",
     "BernoulliIid": "simulate",
     "ChiSquare": "core_stats",
-    "CoefficientTest": "regression",
     "ContingencyTable": "bernoulli",
     "CorrectedCorrelation": "misspec",
     "Dataset": "regression",
@@ -63,17 +61,17 @@ _EXPORTS = {
     "TrendingPair": "simulate",
     "TwoGroupRegression": "simulate",
     "aggregate_verdict": "bernoulli",
+    "analyze_regression": "analysis",
+    "analyze_table": "analysis",
     "check_event_reversal": "bernoulli",
     "check_reversal_conditions": "parameterization",
     "classify": "verdict",
-    "coefficient_test": "regression",
     "corr_from_slope": "parameterization",
     "corrected_correlation": "misspec",
     "dememorize": "misspec",
     "derive_full_params": "parameterization",
     "derive_simple_params": "parameterization",
     "detrend": "misspec",
-    "estimate_theta": "bernoulli",
     "example3_generator": "simulate",
     "fit": "regression",
     "generate": "simulate",
@@ -90,8 +88,6 @@ _EXPORTS = {
     "stratified_tables_from_json": "bernoulli",
     "tail_prob": "core_stats",
     "triple_from_tables": "bernoulli",
-    "two_proportion_test": "bernoulli",
-    "verdict_from_json": "verdict",
 }
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "fixtures"}
 

@@ -155,40 +155,12 @@ class StratifiedTables:
 
 
 @dataclass(frozen=True)
-class BernoulliEstimate:
-    """A success-rate estimate with its binomial standard error."""
-
-    theta_hat: float
-    n: int
-    se: float
-
-
-def estimate_theta(successes: int, total: int) -> BernoulliEstimate:
-    """Estimate a Bernoulli rate: theta_hat = successes / total.
-
-    The standard error is sqrt(theta_hat * (1 - theta_hat) / total), which
-    is 0 at the boundaries theta_hat in {0, 1}.
-    """
-    successes = _check_count(successes, "successes")
-    total = _check_count(total, "total")
-    if total < 1:
-        raise InvalidCounts("total must be at least 1")
-    if successes > total:
-        raise InvalidCounts(f"successes {successes} exceed total {total}")
-    theta = successes / total
-    se = float(np.sqrt(theta * (1.0 - theta) / total))
-    return BernoulliEstimate(theta_hat=theta, n=total, se=se)
-
-
-@dataclass(frozen=True)
 class ProportionComparison:
     """A pooled two-proportion z-test."""
 
     diff: float
     z: float
     p_value: float
-    reject: bool
-    pooled_theta: float
 
 
 def _two_proportion_rows(counts: np.ndarray) -> tuple:
@@ -206,38 +178,6 @@ def _two_proportion_rows(counts: np.ndarray) -> tuple:
     with np.errstate(invalid="ignore"):
         z = (rates[..., 0] - rates[..., 1]) / se
     return rates, z, _tail(Normal(), z, "two"), pooled
-
-
-def _comparison(rates, z, p, pooled, alpha: float) -> ProportionComparison:
-    """One table's row of _two_proportion_rows; DegeneratePool if its pooled rate is 0 or 1."""
-    if pooled in (0.0, 1.0):
-        raise DegeneratePool("pooled rate is 0 or 1; the z statistic is undefined")
-    return ProportionComparison(
-        diff=float(rates[0] - rates[1]),
-        z=float(z),
-        p_value=float(p),
-        reject=bool(p < alpha),
-        pooled_theta=float(pooled),
-    )
-
-
-def two_proportion_test(
-    successes_a: int, total_a: int, successes_b: int, total_b: int, alpha: float = 0.05
-) -> ProportionComparison:
-    """Pooled z-test of equal success rates in two independent groups.
-
-    z = (theta_a - theta_b) / sqrt(pool * (1 - pool) * (1/n_a + 1/n_b))
-    with pool the combined success rate; the p-value is two-sided Normal.
-
-    Raises:
-        DegeneratePool: if the pooled rate is exactly 0 or 1.
-    """
-    if not 0 < alpha < 1:
-        raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    estimate_theta(successes_a, total_a)  # checks the counts
-    estimate_theta(successes_b, total_b)
-    counts = np.array([[successes_a, successes_b], [total_a - successes_a, total_b - successes_b]])
-    return _comparison(*_two_proportion_rows(counts), alpha)
 
 
 @dataclass(frozen=True)
@@ -305,12 +245,9 @@ class AggregateVerdict:
     aggregate_direction: int
     aggregate_test: ProportionComparison
     per_stratum: tuple
-    flipped_strata: tuple
     strata_direction: int
     strata_p_value: float
-    reversal_present: bool
     homogeneity: dict
-    aggregate_trustworthy: bool
     narrative: str
     alpha: float
 
@@ -347,7 +284,9 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
             result = homogeneity_test(tables, col, alpha=alpha)
             homogeneity[label] = result
             trustworthy = trustworthy and result.id_holds
-    aggregate_test = _comparison(rates[0], z[0], p[0], pooled[0], alpha)
+    if pooled[0] in (0.0, 1.0):
+        raise DegeneratePool("pooled rate is 0 or 1; the z statistic is undefined")
+    aggregate_test = ProportionComparison(diff=rate0 - rate1, z=float(z[0]), p_value=float(p[0]))
 
     lines = []
     winner = labels[0] if agg_dir > 0 else labels[1] if agg_dir < 0 else "neither group"
@@ -391,12 +330,9 @@ def aggregate_verdict(tables: StratifiedTables, alpha: float = 0.05) -> Aggregat
         aggregate_direction=agg_dir,
         aggregate_test=aggregate_test,
         per_stratum=tuple(per_stratum),
-        flipped_strata=tuple(flipped),
         strata_direction=strata_dir,
         strata_p_value=strata_p,
-        reversal_present=strata_dir * agg_dir < 0,
         homogeneity=homogeneity,
-        aggregate_trustworthy=bool(trustworthy),
         narrative="\n".join(lines),
         alpha=alpha,
     )

@@ -9,6 +9,9 @@ Commands:
                       Monte Carlo error rate (mc-size)
   reverse-conditions  evaluate the three-correlation reversal conditions
 
+Each analyze command reads its input file, runs one `revcheck.analysis`
+function on it and renders the verdict that function returns.
+
 Exit codes: 0 success, 2 invalid input, 3 degenerate data. All output is
 deterministic for fixed flags and seed; JSON is rendered with sorted keys.
 """
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# bernoulli, core_stats, misspec, parameterization, regression, simulate and
+# analysis, bernoulli, misspec, parameterization, regression, simulate and
 # secrets are imported by the functions that use them, so each command loads
 # only the modules it runs. The annotations name them through this block.
 from . import verdict
@@ -33,9 +36,7 @@ from .errors import (
     DegenerateData,
     DegeneratePool,
     InvalidSpec,
-    RankDeficient,
     RevcheckError,
-    Underdetermined,
     UnknownColumn,
 )
 
@@ -145,10 +146,6 @@ def _resolve_seed(args) -> int:
     seed = secrets.randbits(32)
     print(f"seed: {seed}", file=sys.stderr)
     return seed
-
-
-def _direction(sign_value: float) -> int:
-    return int(np.sign(sign_value))
 
 
 # ---------------------------------------------------------------- regression
@@ -301,47 +298,6 @@ def _read_csv(path: str, ordering_specs: list) -> Dataset:
     return Dataset(columns={name: floats[name] for name in header if name not in orderings}, orderings=orderings)
 
 
-def _corrected_conditional(data: Dataset, response: str, regressor: str, cfg: misspec.BatteryConfig):
-    """Conditional side for a lone trending pair: the corrected correlation."""
-    from . import misspec
-    from .regression import Dataset, ModelSpec, OrderingVariable, fit
-
-    x, y = data.column(regressor), data.column(response)
-    corrected, x_clean, y_clean = misspec._corrected(x, y, cfg, (regressor, response))
-    source = "corrected correlation"
-    n_eff = len(x_clean)
-    # The data's time ordering name, which Dataset keeps apart from every column.
-    time = next(name for name, ordering in data.orderings.items() if ordering.kind == "time")
-    clean = Dataset(
-        columns={regressor: x_clean, response: y_clean},
-        orderings={time: OrderingVariable(time, "time", np.arange(1, n_eff + 1, dtype=float))},
-    )
-    clean_fit = fit(clean, ModelSpec(response=response, regressors=(regressor,)))
-    report = misspec.run_battery(clean, clean_fit, cfg, source=source)
-    return corrected, report, source
-
-
-def _fitted_side(data: Dataset, response: str, regressors: tuple, cfg, subject: str, source: str):
-    """(fit, x1 coefficient, its p, battery report) of one fitted side.
-
-    x1 is the first regressor; subject names the fit in the message for a
-    fit that cannot be identified or is numerically exact, and source labels
-    the battery's report.
-    """
-    from . import misspec
-    from .regression import ModelSpec, fit
-
-    try:
-        side_fit = fit(data, ModelSpec(response=response, regressors=regressors))
-    except (Underdetermined, RankDeficient) as exc:
-        raise type(exc)(f"{subject}: {exc}") from None
-    if side_fit.degenerate:
-        raise DegenerateData(f"{subject} has a numerically exact fit")
-    idx = side_fit.index_of(regressors[0])
-    report = misspec.run_battery(data, side_fit, cfg, source=source)
-    return side_fit, float(side_fit.coefficients[idx]), float(side_fit.p_values[idx]), report
-
-
 def _battery_config(args) -> misspec.BatteryConfig:
     """--alpha, --trend-degree and --lags, for the battery and the size study alike."""
     from . import misspec
@@ -350,108 +306,20 @@ def _battery_config(args) -> misspec.BatteryConfig:
 
 
 def cmd_analyze_regression(args) -> str:
-    from . import misspec
-    from .core_stats import sample_moments
-    from .parameterization import corr_from_slope
+    from . import analysis
 
     data = _read_dataset(args.csv_path, args.ordering)
-    if len(args.regressors) not in (1, 2):
-        raise InvalidSpec("give one or two regressor columns")
-    if len(args.regressors) == 2 and args.by_group is not None:
-        raise InvalidSpec("condition on a second --regressors column or on --by-group, not both")
-    response = args.response
-    x1 = args.regressors[0]
-    cfg = _battery_config(args)
-
-    marginal_source = f"fit {response} ~ {x1}"
-    marginal_fit, slope, slope_p, marginal_report = _fitted_side(
-        data, response, (x1,), cfg, marginal_source, marginal_source
+    result, narrative = analysis.analyze_regression(
+        data, args.response, tuple(args.regressors), args.by_group, _battery_config(args)
     )
-    marginal_side = verdict.AssociationSide(
-        source=marginal_source, direction=_direction(slope), p_value=slope_p
-    )
-
-    moments = sample_moments(np.column_stack([data.column(response), data.column(x1)]))
-    naive_rho = float(moments.corr[0, 1])
-    slope_implied_rho = corr_from_slope(slope, moments.cov[0, 0], moments.cov[1, 1])
-
-    narrative = [f"Marginal: {verdict.format_fit(marginal_fit)}"]
-    narrative.append(
-        f"Naive correlation of ({x1}, {response}): {verdict._fmt(naive_rho)}"
-        f" (slope-implied {verdict._fmt(slope_implied_rho)})"
-    )
-
-    if len(args.regressors) == 2:
-        x2 = args.regressors[1]
-        cond_source = f"fit {response} ~ {x1} + {x2}"
-        cond_fit, cond_sign, cond_p, conditional_report = _fitted_side(
-            data, response, (x1, x2), cfg, cond_source, cond_source
-        )
-        conditional_side = verdict.AssociationSide(
-            source=cond_source, direction=_direction(cond_sign), p_value=cond_p
-        )
-        conditioning = f"conditioning on {x2}"
-        narrative.append(f"Conditional: {verdict.format_fit(cond_fit)}")
-    elif args.by_group is not None:
-        ordering = data.ordering(args.by_group)
-        if ordering.kind == "time":
-            raise InvalidSpec("--by-group needs a group ordering, not a time ordering")
-        levels = sorted(set(ordering.values.tolist()))
-        if len(levels) < 2:
-            raise InvalidSpec(f"ordering {args.by_group!r} has fewer than two levels")
-        cond_source = f"per-group fits of {response} ~ {x1} within {args.by_group}"
-        group_fits, group_reports, signs, ps = [], [], [], []
-        for level in levels:
-            g_data = data.take(np.flatnonzero(ordering.values == level))
-            g_fit, g_coef, g_p, g_report = _fitted_side(
-                g_data, response, (x1,), cfg, f"group {level!r}", cond_source
-            )
-            signs.append(float(np.sign(g_coef)))
-            ps.append(g_p)
-            group_fits.append((level, g_fit))
-            group_reports.append(g_report)
-        conditional_report = misspec.merge_reports(group_reports, cfg.alpha, cond_source)
-        if all(s == signs[0] for s in signs) and signs[0] != 0:
-            raw_sign = signs[0]
-        else:
-            raw_sign = 0.0
-        cond_p = max(ps)
-        conditional_side = verdict.AssociationSide(
-            source=cond_source, direction=_direction(raw_sign), p_value=cond_p
-        )
-        conditioning = f"within levels of {args.by_group}"
-        for level, g_fit in group_fits:
-            narrative.append(f"Group {level}: {verdict.format_fit(g_fit)}")
-    else:
-        has_time = any(o.kind == "time" for o in data.orderings.values())
-        if not has_time:
-            raise InvalidSpec(
-                "nothing to condition on: give a second regressor, --by-group, or a time ordering"
-            )
-        corrected, conditional_report, cond_source = _corrected_conditional(data, response, x1, cfg)
-        conditional_side = verdict.AssociationSide(
-            source=cond_source,
-            direction=_direction(corrected.rho),
-            p_value=corrected.p_value,
-        )
-        conditioning = (
-            f"detrended (degree {cfg.trend_degree}) and dememorized ({cfg.lag_count} lags) both series"
-        )
-        narrative.append(
-            f"Corrected correlation: {verdict._fmt(corrected.rho)} "
-            f"(p {verdict.format_p(corrected.p_value)}, n_eff = {corrected.n_effective})"
-        )
-
-    pair = verdict.AssociationPair(marginal=marginal_side, conditional=conditional_side, conditioning=conditioning)
-    result = verdict.classify(pair, marginal_report, conditional_report, alpha=cfg.alpha)
-    return verdict.render(result, args.output, narrative="\n".join(narrative))
+    return verdict.render(result, args.output, narrative=narrative)
 
 
 # --------------------------------------------------------------------- table
 
 
 def cmd_analyze_table(args) -> str:
-    from . import bernoulli
+    from . import analysis, bernoulli
 
     try:
         with open(args.json_path, encoding="utf-8-sig") as handle:
@@ -461,46 +329,8 @@ def cmd_analyze_table(args) -> str:
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and an integer past Python's digit limit.
         raise InvalidSpec(f"{args.json_path} is not valid JSON: {exc}") from None
-    tables = bernoulli.stratified_tables_from_json(obj)
-    alpha = args.alpha
-    agg_verdict = bernoulli.aggregate_verdict(tables, alpha=alpha)
-    comparison = agg_verdict.aggregate_test
-
-    marginal_source = "aggregate rate comparison"
-    marginal_side = verdict.AssociationSide(
-        source=marginal_source,
-        direction=agg_verdict.aggregate_direction,
-        p_value=comparison.p_value,
-    )
-    marginal_report = verdict.adequacy_from_homogeneity(agg_verdict, source=marginal_source)
-
-    cond_source = "per-stratum rate comparisons"
-    conditional_side = verdict.AssociationSide(
-        source=cond_source, direction=agg_verdict.strata_direction, p_value=agg_verdict.strata_p_value
-    )
-    conditional_report = verdict.untested_adequacy(source=cond_source)
-
-    narrative = [agg_verdict.narrative]
-    if len(tables.strata) == 2:
-        pattern = bernoulli.check_event_reversal(bernoulli.triple_from_tables(tables))
-        if pattern.pattern_holds:
-            orientation = "mirrored" if pattern.mirrored else "canonical"
-            narrative.append(
-                f"Strict event-probability reversal pattern holds ({orientation} orientation)."
-            )
-        else:
-            narrative.append("Strict event-probability reversal pattern does not hold.")
-    narrative.append(
-        f"Aggregate two-proportion z = {verdict._fmt(comparison.z)} (p {verdict.format_p(comparison.p_value)})."
-    )
-
-    pair = verdict.AssociationPair(
-        marginal=marginal_side,
-        conditional=conditional_side,
-        conditioning="within the declared strata",
-    )
-    result = verdict.classify(pair, marginal_report, conditional_report, alpha=alpha)
-    return verdict.render(result, args.output, narrative="\n".join(narrative))
+    result, narrative = analysis.analyze_table(bernoulli.stratified_tables_from_json(obj), args.alpha)
+    return verdict.render(result, args.output, narrative=narrative)
 
 
 # ------------------------------------------------------------------ simulate

@@ -85,9 +85,5 @@ class GenerationFailed(RevcheckError):
     """A constrained generator exhausted its retry budget."""
 
 
-class IndexOutOfRange(RevcheckError):
-    """A coefficient or term index is outside the fitted range."""
-
-
 class DegenerateData(RevcheckError):
     """Input data are degenerate (for example an exact linear relation)."""

@@ -22,7 +22,6 @@ import numpy as np
 from .core_stats import _RAISE, _solve, _t_test_p
 from .errors import (
     EmptyData,
-    IndexOutOfRange,
     InvalidSpec,
     MismatchedInputs,
     NonFiniteInput,
@@ -248,26 +247,3 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         degenerate=bool(degenerate),
     )
 
-
-@dataclass(frozen=True)
-class CoefficientTest:
-    """A two-sided t-test of one coefficient against a null value."""
-
-    stat: float
-    p_value: float
-    df: int
-    reject: bool
-
-
-def coefficient_test(
-    result: FitResult, index: int, null_value: float = 0.0, alpha: float = 0.05
-) -> CoefficientTest:
-    """Two-sided t-test that coefficient `index` equals `null_value`."""
-    if not 0 < alpha < 1:
-        raise InvalidSpec(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0 <= index < len(result.coefficients):
-        raise IndexOutOfRange(f"coefficient index {index} out of range")
-    df = result.n_used - len(result.coefficients)
-    diff = result.coefficients[index] - null_value
-    stat, p = _coefficient_p(diff, result.std_errors[index], df, _RAISE)
-    return CoefficientTest(stat=float(stat), p_value=float(p), df=df, reject=bool(p < alpha))

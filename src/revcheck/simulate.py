@@ -15,10 +15,10 @@ generator before drawing its row. Each test runs the same stacked code
 as its per-dataset functions, which are its batch-of-one case: the
 correlation tests that of `naive_correlation_test` and
 `misspec.corrected_correlation`, the coefficient test `regression._ols`
-and `_inference` (of which `regression.fit` is the one-row call) and the
-`_coefficient_p` of `regression.coefficient_test`. So each row gets the
-same decision and fails with the same error as its dataset tested on its
-own. A study reads the analysis's own `misspec.BatteryConfig` for its
+and `_inference` (of which `regression.fit` is the one-row call), then
+the t-test of one coefficient, `regression._coefficient_p`, which also
+gives `fit` its p-values. So each row gets the same decision and fails
+with the same error as its dataset tested on its own. A study reads the analysis's own `misspec.BatteryConfig` for its
 level and the corrected correlation's trend degree and lag count.
 
 Four generators are provided:
@@ -464,7 +464,8 @@ def _column(columns: dict, name: str, errors: _FirstError) -> np.ndarray:
 
 
 def _coefficient_rejections(columns: dict, test: TestDescriptor, cfg, errors: _FirstError) -> np.ndarray:
-    # regression.fit, FitResult.index_of, then regression.coefficient_test.
+    # regression.fit, FitResult.index_of, then a two-sided t-test of that
+    # coefficient against the null value.
     spec = ModelSpec(response=test.response, regressors=test.regressors)
     regressors = [_column(columns, name, errors) for name in spec.regressors]
     y = _column(columns, spec.response, errors)

@@ -349,37 +349,3 @@ def render(verdict: ReversalVerdict, fmt: str = "text", narrative: str = "") -> 
     lines.append("Note: " + _NOT_ASSESSED + ".")
     return "\n".join(lines) + "\n"
 
-
-def verdict_from_json(text: str) -> ReversalVerdict:
-    """Rebuild a verdict from its JSON rendering (schema reversal-report/1).
-
-    Diagnostic evidence objects are not serialized, so the rebuilt reports
-    carry statuses and p-values only.
-    """
-    obj = json.loads(text)
-    if obj.get("schema") != SCHEMA:
-        raise InvalidSpec(f"unsupported schema {obj.get('schema')!r}")
-
-    def side(payload: dict) -> AssociationSide:
-        return AssociationSide(
-            source=payload["source"], direction=int(payload["direction"]), p_value=float(payload["p_value"])
-        )
-
-    def report(payload: dict, source: str) -> MisspecReport:
-        statuses = {label: entry["status"] for label, entry in payload.items()}
-        p_values = {label: entry["p_value"] for label, entry in payload.items()}
-        return MisspecReport(per_assumption=statuses, p_values=p_values, evidence=(), source=source)
-
-    pair = AssociationPair(
-        marginal=side(obj["marginal"]),
-        conditional=side(obj["conditional"]),
-        conditioning=obj["conditioning"],
-    )
-    return ReversalVerdict(
-        kind=obj["verdict"],
-        pair=pair,
-        marginal_report=report(obj["assumptions"]["marginal"], pair.marginal.source),
-        conditional_report=report(obj["assumptions"]["conditional"], pair.conditional.source),
-        alpha=float(obj["alpha"]),
-        rationale=obj["narrative"],
-    )

@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from revcheck import cli
+from revcheck.analysis import analyze_regression
 from revcheck.bernoulli import check_event_reversal, stratified_tables_from_json, triple_from_tables
 from revcheck.core_stats import Series
 from revcheck.fixtures import fixture_path, optional_fixture
@@ -23,10 +24,8 @@ from revcheck.misspec import (
     corrected_correlation,
     homoskedasticity_check,
     linearity_check,
-    merge_reports,
     normality_check,
     ordering_shift_test,
-    run_battery,
 )
 from revcheck.parameterization import (
     JointMoments,
@@ -46,7 +45,6 @@ from revcheck.simulate import (
     naive_correlation_test,
     rng_for,
 )
-from revcheck.verdict import AssociationPair, AssociationSide, classify
 
 
 def report(number, ok, detail):
@@ -303,36 +301,12 @@ def test_criterion_08_two_group_reversal_pipeline():
     started = time.perf_counter()
     for seed in range(100):
         data = example3_generator(50, seed=seed)
-        pooled = fit(data, spec)
-        idx = pooled.index_of("x")
-        flags = data.ordering("group").values
-        group_fits = []
-        group_reports = []
-        for level in (0.0, 1.0):
-            sub = data.take(np.flatnonzero(flags == level))
-            result = fit(sub, spec)
-            group_fits.append(result)
-            group_reports.append(run_battery(sub, result, source="within-group regressions"))
-        if pooled.coefficients[idx] < 0 and all(r.coefficients[r.index_of("x")] > 0 for r in group_fits):
+        verdict, _ = analyze_regression(data, "y", ("x",), "group", cfg)
+        # The per-group side points up only when every group's slope is positive.
+        if (verdict.pair.marginal.direction, verdict.pair.conditional.direction) == (-1, 1):
             pattern += 1
-        if ordering_shift_test(data, pooled, "group").p < 0.05:
+        if ordering_shift_test(data, fit(data, spec), "group").p < 0.05:
             shift_hits += 1
-        marginal_report = run_battery(data, pooled, cfg, source="pooled regression")
-        conditional_report = merge_reports(group_reports, cfg.alpha, "within-group regressions")
-        directions = {int(np.sign(r.coefficients[r.index_of("x")])) for r in group_fits}
-        conditional = AssociationSide(
-            "within-group regressions",
-            directions.pop() if len(directions) == 1 else 0,
-            max(float(r.p_values[r.index_of("x")]) for r in group_fits),
-        )
-        marginal = AssociationSide(
-            "pooled regression", int(np.sign(pooled.coefficients[idx])), float(pooled.p_values[idx])
-        )
-        verdict = classify(
-            AssociationPair(marginal, conditional, "within levels of group"),
-            marginal_report,
-            conditional_report,
-        )
         if verdict.kind == "Case2Untrustworthy":
             case2 += 1
 

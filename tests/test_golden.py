@@ -1,6 +1,8 @@
 """Whole `--output json` reports compared against files in tests/golden/.
 
-Each golden file is the report the CLI printed for its case. Strings,
+Each golden file is the report the CLI printed for its case. The analyze
+cases are also run through the library: their input read as the CLI reads
+it, then `revcheck.analysis` and `verdict.render`. Strings,
 booleans and keys must match exactly; floats match at rtol 1e-9, so the
 files hold across the numpy releases the package supports.
 """
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from revcheck import cli
+from revcheck import analysis, cli, verdict
+from revcheck.bernoulli import stratified_tables_from_json
 from revcheck.fixtures import fixture_path
+from revcheck.misspec import BatteryConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +59,9 @@ CASES = {
     ),
 }
 
+
+# The cases that run an analyze command.
+ANALYSIS_CASES = sorted(name for name, (_, argv) in CASES.items() if argv[0].startswith("analyze-"))
 
 # The cases that analyse a CSV. Their data is checked with LF line endings,
 # which the numpy reader takes, and with CRLF endings, which only the csv
@@ -114,6 +121,25 @@ def assert_matches(actual, expected, path="$"):
 def test_report_matches_golden(name, tmp_path, capsys):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert_matches(json.loads(run_case(name, tmp_path, capsys)), expected)
+
+
+@pytest.mark.parametrize("name", ANALYSIS_CASES)
+def test_library_report_matches_golden(name, tmp_path, capsys):
+    # The CLI's flags for the case, read by its parser, name the input and
+    # the analysis; the report is the analysis function's verdict, rendered.
+    cli_report = run_case(name, tmp_path, capsys)
+    argv = [input_path(arg, tmp_path / "data.csv") for arg in CASES[name][1]]
+    args = cli._parser().parse_args(argv)
+    if args.command == "analyze-table":
+        tables = stratified_tables_from_json(json.loads(Path(args.json_path).read_text(encoding="utf-8-sig")))
+        result, narrative = analysis.analyze_table(tables, args.alpha)
+    else:
+        data = cli._read_dataset(args.csv_path, args.ordering)
+        cfg = BatteryConfig(alpha=args.alpha, trend_degree=args.trend_degree, lag_count=args.lags)
+        result, narrative = analysis.analyze_regression(data, args.response, tuple(args.regressors), args.by_group, cfg)
+    report = verdict.render(result, "json", narrative=narrative)
+    assert_matches(json.loads(report), json.loads((GOLDEN / f"{name}.json").read_text()))
+    assert report == cli_report
 
 
 @pytest.mark.parametrize("name", CSV_CASES)

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import revcheck
-from revcheck import cli
+from revcheck import analysis, cli
 from revcheck.fixtures import fixture_path
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(revcheck.__file__)))
@@ -55,7 +55,7 @@ def test_import_revcheck_loads_no_submodule_until_one_is_used():
         import sys
         import revcheck
         print(sorted(m for m in sys.modules if m.startswith("revcheck.")))
-        print(revcheck.verdict.verdict_from_json.__module__)
+        print(revcheck.verdict.classify.__module__)
         print(sorted(m for m in sys.modules if m.startswith("revcheck.")))
         """
     )
@@ -94,23 +94,24 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         ["analyze-regression", str(csv_path), "--response", "y", "--regressors", "x",
          "--ordering", "group", "--by-group", "group"]
     )
-    assert "revcheck.misspec" in regression
+    assert {"revcheck.analysis", "revcheck.misspec"} <= regression
     assert not {"revcheck.bernoulli", "revcheck.simulate", "numpy.ma", "secrets"} & regression
 
     # The table commands classify without the regression battery.
     battery = {"revcheck.misspec", "revcheck.regression"}
     table = _loaded(["analyze-table", str(fixture_path("berkeley.json"))])
-    assert "revcheck.bernoulli" in table
+    assert {"revcheck.analysis", "revcheck.bernoulli"} <= table
     assert not ({"revcheck.simulate", "revcheck.parameterization"} | battery) & table
     # The three-correlation conditions need no least squares, tail
     # probabilities or sample moments.
     conditions = _loaded(["reverse-conditions", "0.5", "0.7", "0.8"])
     assert {"revcheck.verdict", "revcheck.parameterization"} <= conditions
-    assert not ({"revcheck.bernoulli", "revcheck.simulate", "revcheck.core_stats"} | battery) & conditions
+    unused = {"revcheck.analysis", "revcheck.bernoulli", "revcheck.simulate", "revcheck.core_stats"}
+    assert not (unused | battery) & conditions
 
     study = _loaded(["--seed", "1", "simulate", "mc-size", "--dgp", "trending", "--reps", "1000"])
     assert "revcheck.simulate" in study
-    assert "revcheck.bernoulli" not in study
+    assert not {"revcheck.analysis", "revcheck.bernoulli"} & study
 
 
 def _module_level_names(body: list) -> set:
@@ -127,11 +128,10 @@ def _module_level_names(body: list) -> set:
     return names
 
 
-def test_cli_annotations_name_only_module_level_names():
-    # cli imports most modules inside the functions that use them; each name
-    # its annotations use is bound at module level, in its TYPE_CHECKING
-    # block if nowhere else, so static tools can resolve it.
-    with open(cli.__file__, encoding="utf-8") as handle:
+def _annotation_names(path: str) -> tuple:
+    """(names the annotations of the module at path use, names it binds at
+    module level or in its TYPE_CHECKING block, builtins included)."""
+    with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     bound = _module_level_names(tree.body) | set(dir(builtins))
     for node in tree.body:
@@ -148,5 +148,17 @@ def test_cli_annotations_name_only_module_level_names():
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
     used = {name.id for annotation in annotations for name in ast.walk(annotation) if isinstance(name, ast.Name)}
-    assert {"Dataset", "misspec", "simulate"} <= used
-    assert used <= bound, sorted(used - bound)
+    return used, bound
+
+
+def test_cli_annotations_name_only_module_level_names():
+    # cli and analysis import most modules inside the functions that use
+    # them; each name their annotations use is bound at module level, in the
+    # TYPE_CHECKING block if nowhere else, so static tools can resolve it.
+    for module, expected in (
+        (cli, {"Dataset", "misspec", "simulate"}),
+        (analysis, {"BatteryConfig", "Dataset", "StratifiedTables"}),
+    ):
+        used, bound = _annotation_names(module.__file__)
+        assert expected <= used, module.__name__
+        assert used <= bound, (module.__name__, sorted(used - bound))

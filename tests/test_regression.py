@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from revcheck.core_stats import _RAISE
 from revcheck.errors import (
     EmptyData,
-    IndexOutOfRange,
     InvalidSpec,
     MismatchedInputs,
     NonFiniteInput,
@@ -17,7 +17,7 @@ from revcheck.regression import (
     Dataset,
     ModelSpec,
     OrderingVariable,
-    coefficient_test,
+    _coefficient_p,
     fit,
 )
 
@@ -173,20 +173,24 @@ def test_two_group_reversal_pattern():
 
 
 def test_coefficient_test_matches_p_values():
+    # The size study's coefficient test, `_coefficient_p` at df n - 2, gives
+    # a fit's own p for a null of 0; a zero standard error gives p 1 for a
+    # zero difference and p 0 for any other.
     res = fit(small_data(), ModelSpec(response="y", regressors=("x",)))
-    test = coefficient_test(res, 1)
-    assert math.isclose(test.p_value, res.p_values[1], rel_tol=1e-12)
-    assert test.df == res.n_used - 2
-    assert not test.reject
-    with pytest.raises(IndexOutOfRange):
-        coefficient_test(res, 5)
+    stat, p = _coefficient_p(res.coefficients[1], res.std_errors[1], res.n_used - 2, _RAISE)
+    assert math.isclose(p, res.p_values[1], rel_tol=1e-12)
+    assert stat == res.coefficients[1] / res.std_errors[1]
+    assert p > 0.05
+    stat, p = _coefficient_p(np.array([0.0, 2.0, -2.0]), np.zeros(3), 5, _RAISE)
+    assert stat.tolist() == [0.0, math.inf, -math.inf] and p.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_coefficient_test_nonzero_null():
     res = fit(small_data(), ModelSpec(response="y", regressors=("x",)))
-    at_estimate = coefficient_test(res, 1, null_value=float(res.coefficients[1]))
-    assert at_estimate.stat == pytest.approx(0.0, abs=1e-12)
-    assert at_estimate.p_value == pytest.approx(1.0)
+    diff = res.coefficients[1] - float(res.coefficients[1])
+    stat, p = _coefficient_p(diff, res.std_errors[1], res.n_used - 2, _RAISE)
+    assert stat == pytest.approx(0.0, abs=1e-12)
+    assert p == pytest.approx(1.0)
 
 
 def test_fit_unknown_column():
